@@ -30,9 +30,8 @@ use pcie_host::LlcCache;
 use pcie_link::{Direction, Link, LinkTiming};
 use pcie_model::config::LinkConfig;
 use pcie_sim::{SimTime, SplitMix64, Timeline};
-use pcie_tlp::plan::PlanCache;
 use pcie_tlp::types::{DeviceId, Tag};
-use pcie_tlp::{split, Packet, TemplateInterner, TlpRepr, TlpType};
+use pcie_tlp::{split, Packet, TlpRepr, TlpType};
 use pciebench::{BenchParams, BenchScratch, BenchSetup, LatOp};
 
 /// Times `iters` trips of `f`, returning ns per trip (no baseline
@@ -96,19 +95,6 @@ fn bench_gate(b: &mut Budget) {
         now = black_box(now + step);
     });
     b.record("device_gate", iters, ns);
-
-    // Batched variant: one bookkeeping pass per 4-slot burst, cost
-    // reported per slot so the two rows are directly comparable.
-    let mut g = SlotGate::new(8);
-    let mut now = SimTime::ZERO;
-    let ns = differential(iters / 4, |_| {
-        let at = g.acquire_batch(now, 4).expect("burst fits an idle gate");
-        for _ in 0..4 {
-            g.release_at(at + hold);
-        }
-        now = black_box(now + step + step + step + step);
-    });
-    b.record("device_gate_batched", iters, ns / 4.0);
 }
 
 fn bench_link(b: &mut Budget) {
@@ -163,34 +149,12 @@ fn bench_tlp_assembly(b: &mut Budget) {
         black_box(buf[3]);
     });
     b.record("tlp_assembly", iters, ns);
-
-    // Correctness first, then cost: the interned path must produce
-    // the same bytes before its speed means anything.
-    let mut interner = TemplateInterner::new();
-    for i in 0..16 {
-        let r = repr_at(i);
-        let mut direct = [0u8; 16];
-        let mut interned = [0xa5u8; 16];
-        r.emit(&mut Packet::new_unchecked(&mut direct[..])).unwrap();
-        interner
-            .emit(&r, &mut Packet::new_unchecked(&mut interned[..]))
-            .unwrap();
-        assert_eq!(direct, interned, "interned emit must be byte-identical");
-    }
-    let ns = differential(iters, |i| {
-        let r = repr_at(i);
-        interner
-            .emit(&r, &mut Packet::new_unchecked(&mut buf[..]))
-            .unwrap();
-        black_box(buf[3]);
-    });
-    b.record("tlp_assembly_interned", iters, ns);
 }
 
 fn bench_split_plan(b: &mut Budget) {
     let iters = n(1_000_000) as u64;
     // A 512 B read completed under MPS=256/RCB=64 from four distinct
-    // start offsets: multi-chunk plans, the case the cache memoises.
+    // start offsets: multi-chunk completion streams.
     let (len, mps, rcb) = (512u32, 256u32, 64u32);
     let addr_at = |i: u64| 0x4000 + (i & 3) * 0x40;
 
@@ -202,24 +166,6 @@ fn bench_split_plan(b: &mut Budget) {
         black_box(total);
     });
     b.record("split_plan_derive", iters, ns);
-
-    let mut plans = PlanCache::new();
-    // Replay must reproduce the derived plan exactly.
-    for i in 0..4 {
-        let derived: Vec<u32> = split::completion_chunks(addr_at(i), len, mps, rcb)
-            .map(|c| c.len)
-            .collect();
-        assert_eq!(
-            plans.completion_lens(addr_at(i), len, mps, rcb),
-            &derived[..],
-            "memoised plan must match the iterator"
-        );
-    }
-    let ns = differential(iters, |i| {
-        let lens = plans.completion_lens(addr_at(i), len, mps, rcb);
-        black_box(lens.iter().copied().sum::<u32>());
-    });
-    b.record("split_plan_replay", iters, ns);
 }
 
 fn bench_end_to_end(b: &mut Budget) {
@@ -277,8 +223,6 @@ fn main() {
         );
     }
     println!("#  - all components positive and finite");
-    println!("#  - interned TLP emit byte-identical to from-scratch emit (asserted in-loop setup)");
-    println!("#  - memoised completion plans identical to the split iterator (asserted)");
 
     println!();
     for (name, ns, iters) in &b.rows {

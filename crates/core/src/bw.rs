@@ -8,6 +8,7 @@
 //! direction. As in the paper's plots, `BW_RDWR` reports the payload
 //! rate *per direction*.
 
+use crate::access::AccessSequence;
 use crate::params::BenchParams;
 use crate::scratch::BenchScratch;
 use crate::setup::BenchSetup;
@@ -71,10 +72,9 @@ pub fn run_bandwidth(
     run_bandwidth_with(setup, params, op, n, path, &mut BenchScratch::new())
 }
 
-/// [`run_bandwidth`] journalling through reusable `scratch` buffers —
-/// the full-suite hot path. The access-order stream is replayed from
-/// `scratch`'s memoised cache instead of redrawn per test; results
-/// are bit-identical to [`run_bandwidth`].
+/// [`run_bandwidth`] drawing its access order into `scratch`'s
+/// reusable buffer — the full-suite hot path. Results are
+/// bit-identical to [`run_bandwidth`].
 pub fn run_bandwidth_with(
     setup: &BenchSetup,
     params: &BenchParams,
@@ -85,9 +85,11 @@ pub fn run_bandwidth_with(
 ) -> BwResult {
     assert!(n > 0);
     let (mut platform, buf) = setup.build_with(params, &mut scratch.cache_pool);
-    let offsets = scratch.orders.offsets(params, setup.seed ^ 0xBA4D, n);
+    let order = std::mem::take(&mut scratch.order);
+    let mut offsets = AccessSequence::with_buffer(params, setup.seed ^ 0xBA4D, order);
     let mut last = SimTime::ZERO;
-    for (i, &off) in offsets.iter().enumerate() {
+    for i in 0..n {
+        let off = offsets.next_offset();
         let r = match op {
             BwOp::Rd => platform.dma_read(SimTime::ZERO, &buf, off, params.transfer, path),
             BwOp::Wr => platform.dma_write(SimTime::ZERO, &buf, off, params.transfer, path),
@@ -103,6 +105,7 @@ pub fn run_bandwidth_with(
         };
         last = last.max(r.done);
     }
+    scratch.order = offsets.into_buffer();
     let elapsed = last;
     let data_bytes = match op {
         BwOp::Rd | BwOp::Wr => n as u64 * params.transfer as u64,

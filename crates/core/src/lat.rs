@@ -6,6 +6,7 @@
 //! loop of §5.1. Timestamps are quantised to the device's counter
 //! resolution (19.2 ns on the NFP, 4 ns on the NetFPGA).
 
+use crate::access::AccessSequence;
 use crate::params::BenchParams;
 use crate::scratch::BenchScratch;
 use crate::setup::BenchSetup;
@@ -132,14 +133,13 @@ fn measure(
 ) -> (pcie_device::Platform, SimTime) {
     assert!(n > 0);
     let (mut platform, buf) = setup.build_with(params, &mut scratch.cache_pool);
-    // The access-order stream is a pure function of (geometry,
-    // pattern, seed): replay the memoised prefix instead of redrawing
-    // it for every cell of a sweep that shares those.
-    let offsets = scratch.orders.offsets(params, setup.seed ^ 0xACCE55, n);
+    let order = std::mem::take(&mut scratch.order);
+    let mut offsets = AccessSequence::with_buffer(params, setup.seed ^ 0xACCE55, order);
     scratch.samples.clear();
     scratch.samples.reserve(n);
     let mut now = SimTime::ZERO;
-    for &off in offsets {
+    for _ in 0..n {
+        let off = offsets.next_offset();
         let r = match op {
             LatOp::Rd => platform.dma_read(now, &buf, off, params.transfer, path),
             LatOp::WrRd => platform.dma_write_read(now, &buf, off, params.transfer, path),
@@ -149,6 +149,7 @@ fn measure(
             .push(platform.quantize(r.latency()).as_ns_f64());
         now = r.done + JOURNAL_GAP;
     }
+    scratch.order = offsets.into_buffer();
     // The platform is done simulating: return its LLC line buffers to
     // the pool (stats survive for telemetry snapshots).
     platform.host.recycle_caches(&mut scratch.cache_pool);

@@ -1,133 +1,30 @@
 //! Reusable per-worker scratch buffers for the benchmark hot path.
 //!
 //! Every grid point of the §5.4 suite builds its own [`Platform`]
-//! (that cost is the experiment), but two per-test costs are pure
-//! waste when repeated thousands of times: the *driver-side* work
-//! (generating the access-order stream and allocating the sample
-//! journal) and the *host-side* LLC line arrays — a 15 MiB cache is
-//! ~250k lines allocated and zeroed per platform. A [`BenchScratch`]
-//! owns the driver buffers, a small [`OrderCache`] of memoised access
-//! sequences, and a [`CacheStorage`] pool of retired line arrays;
-//! each pool worker keeps one and threads it through every test it
-//! executes, so after the largest test in a worker's share has run,
+//! (that cost is the experiment), but three per-test allocations are
+//! pure waste when repeated thousands of times: the access-order
+//! buffer (one `u32` per unit of the window), the sample journal, and
+//! the *host-side* LLC line arrays — a 15 MiB cache is ~250k lines
+//! allocated and zeroed per platform. A [`BenchScratch`] owns all
+//! three; each pool worker keeps one and threads it through every test
+//! it executes, so after the largest test in a worker's share has run,
 //! that worker allocates nothing more. Reuse recycles only capacity
-//! and *deterministic* derived data (cache buffers come back
-//! epoch-invalidated; memoised offset streams are pure functions of
-//! their key), so results stay bit-identical to the allocate-fresh
-//! path.
+//! (the order buffer is refilled by [`AccessSequence::with_buffer`],
+//! cache buffers come back epoch-invalidated), so results stay
+//! bit-identical to the allocate-fresh path.
 //!
 //! [`Platform`]: pcie_device::Platform
+//! [`AccessSequence::with_buffer`]: crate::access::AccessSequence::with_buffer
 
-use crate::access::AccessSequence;
-use crate::params::{BenchParams, Pattern};
 use pcie_host::cache::CacheStorage;
-
-/// Entries retained by [`OrderCache`] before least-recently-used
-/// eviction. The grids that matter (figure 7's latency/bandwidth
-/// sweeps) cycle through at most four geometry/seed combinations per
-/// window, so eight covers them with slack while bounding memory to a
-/// few MiB of cached offsets.
-const ORDER_CACHE_CAP: usize = 8;
-
-struct OrderEntry {
-    /// Everything the offset stream depends on: window geometry
-    /// (`window`, `transfer`, `offset` determine unit size and count),
-    /// access pattern, and RNG seed.
-    key: (u64, u32, u32, Pattern, u64),
-    /// The live generator, kept so a longer request later can extend
-    /// `offsets` from where the stream left off.
-    seq: AccessSequence,
-    /// Offsets drawn so far, in draw order.
-    offsets: Vec<u64>,
-    /// LRU clock value of the last hit.
-    used: u64,
-}
-
-/// Memoised access-order streams keyed by the full set of inputs that
-/// determine them.
-///
-/// [`AccessSequence`] is deterministic: the `n`-th offset is a pure
-/// function of `(window, transfer, offset, pattern, seed)`. Grid
-/// sweeps re-draw the *same* stream for every cell that shares a
-/// geometry — figure 7 runs Rd/WrRd × Cold/HostWarm over one window
-/// with one per-benchmark seed, so four cells out of four share each
-/// stream. Caching the drawn prefix replaces a Fisher–Yates shuffle
-/// plus per-draw index arithmetic with a slice replay, and is exact
-/// by construction: on a miss (including re-generation after LRU
-/// eviction) the entry is rebuilt from a fresh `AccessSequence` with
-/// the same key, which yields the same stream.
-#[derive(Default)]
-pub(crate) struct OrderCache {
-    entries: Vec<OrderEntry>,
-    clock: u64,
-}
-
-impl std::fmt::Debug for OrderCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OrderCache")
-            .field("entries", &self.entries.len())
-            .field("cached_offsets", &self.cached_offsets())
-            .finish()
-    }
-}
-
-impl OrderCache {
-    /// The first `n` offsets a fresh
-    /// [`AccessSequence::new`]`(params, seed)` would draw, memoised.
-    pub(crate) fn offsets(&mut self, params: &BenchParams, seed: u64, n: usize) -> &[u64] {
-        let key = (
-            params.window,
-            params.transfer,
-            params.offset,
-            params.pattern,
-            seed,
-        );
-        self.clock += 1;
-        let idx = match self.entries.iter().position(|e| e.key == key) {
-            Some(i) => i,
-            None => {
-                if self.entries.len() >= ORDER_CACHE_CAP {
-                    let lru = self
-                        .entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.used)
-                        .map(|(i, _)| i)
-                        .expect("cache non-empty at capacity");
-                    self.entries.swap_remove(lru);
-                }
-                self.entries.push(OrderEntry {
-                    key,
-                    seq: AccessSequence::new(params, seed),
-                    offsets: Vec::new(),
-                    used: 0,
-                });
-                self.entries.len() - 1
-            }
-        };
-        let e = &mut self.entries[idx];
-        e.used = self.clock;
-        if e.offsets.len() < n {
-            e.offsets.reserve(n - e.offsets.len());
-            while e.offsets.len() < n {
-                e.offsets.push(e.seq.next_offset());
-            }
-        }
-        &e.offsets[..n]
-    }
-
-    /// Total offsets held across entries (observability for tests).
-    fn cached_offsets(&self) -> usize {
-        self.entries.iter().map(|e| e.offsets.capacity()).sum()
-    }
-}
 
 /// Reusable buffers for [`run_latency_summary`](crate::lat::run_latency_summary)
 /// and [`run_bandwidth_with`](crate::bw::run_bandwidth_with).
 #[derive(Debug, Default)]
 pub struct BenchScratch {
-    /// Memoised access-order streams, shared across tests.
-    pub(crate) orders: OrderCache,
+    /// Access-order buffer, recycled through
+    /// [`AccessSequence::with_buffer`](crate::access::AccessSequence::with_buffer).
+    pub(crate) order: Vec<u32>,
     /// Per-transaction latency journal, in issue order.
     pub(crate) samples: Vec<f64>,
     /// Retired LLC line buffers, recycled into the next platform.
@@ -140,12 +37,12 @@ impl BenchScratch {
         Self::default()
     }
 
-    /// Current capacities `(cached order offsets, samples, pooled
-    /// cache buffers)` — observability for tests asserting that reuse
+    /// Current capacities `(order buffer, samples, pooled cache
+    /// buffers)` — observability for tests asserting that reuse
     /// actually sticks.
     pub fn capacities(&self) -> (usize, usize, usize) {
         (
-            self.orders.cached_offsets(),
+            self.order.capacity(),
             self.samples.capacity(),
             self.cache_pool.pooled(),
         )
@@ -156,69 +53,9 @@ impl BenchScratch {
 mod tests {
     use super::*;
 
-    fn params(window: u64, transfer: u32, pattern: Pattern) -> BenchParams {
-        BenchParams {
-            window,
-            transfer,
-            pattern,
-            ..BenchParams::baseline(transfer)
-        }
-    }
-
-    fn fresh_draws(p: &BenchParams, seed: u64, n: usize) -> Vec<u64> {
-        let mut s = AccessSequence::new(p, seed);
-        (0..n).map(|_| s.next_offset()).collect()
-    }
-
     #[test]
     fn starts_empty_and_reports_capacity() {
         let s = BenchScratch::new();
         assert_eq!(s.capacities(), (0, 0, 0));
-    }
-
-    #[test]
-    fn order_cache_replays_extends_and_shrinks_exactly() {
-        let p = params(8 * 1024, 64, Pattern::Random);
-        let expect = fresh_draws(&p, 7, 300);
-        let mut s = BenchScratch::new();
-        // First request generates; a longer one extends the same
-        // stream; a shorter one replays the memoised prefix.
-        assert_eq!(s.orders.offsets(&p, 7, 100), &expect[..100]);
-        assert_eq!(s.orders.offsets(&p, 7, 300), &expect[..]);
-        assert_eq!(s.orders.offsets(&p, 7, 50), &expect[..50]);
-        assert_eq!(s.orders.entries.len(), 1, "one key, one entry");
-    }
-
-    #[test]
-    fn order_cache_keys_on_geometry_pattern_and_seed() {
-        let mut s = BenchScratch::new();
-        let a = params(8 * 1024, 64, Pattern::Random);
-        let b = params(8 * 1024, 128, Pattern::Random);
-        let got_a = s.orders.offsets(&a, 7, 64).to_vec();
-        let got_b = s.orders.offsets(&b, 7, 64).to_vec();
-        let got_a2 = s.orders.offsets(&a, 9, 64).to_vec();
-        assert_eq!(s.orders.entries.len(), 3);
-        assert_eq!(got_a, fresh_draws(&a, 7, 64));
-        assert_eq!(got_b, fresh_draws(&b, 7, 64));
-        assert_eq!(got_a2, fresh_draws(&a, 9, 64));
-        assert_ne!(got_a, got_a2, "seed is part of the key");
-    }
-
-    #[test]
-    fn order_cache_evicts_lru_and_regenerates_identically() {
-        let mut s = BenchScratch::new();
-        let first = params(8 * 1024, 64, Pattern::Random);
-        let before = s.orders.offsets(&first, 1, 128).to_vec();
-        // Flood the cache with distinct keys until `first` is evicted.
-        for seed in 100..100 + ORDER_CACHE_CAP as u64 {
-            s.orders.offsets(&first, seed, 8);
-        }
-        assert_eq!(s.orders.entries.len(), ORDER_CACHE_CAP);
-        assert!(
-            !s.orders.entries.iter().any(|e| e.key.4 == 1),
-            "oldest entry evicted"
-        );
-        // A re-request regenerates the stream bit-identically.
-        assert_eq!(s.orders.offsets(&first, 1, 128), &before[..]);
     }
 }

@@ -33,7 +33,7 @@ use pcie_link::{Direction, Link, LinkTiming};
 use pcie_model::config::LinkConfig;
 use pcie_sim::{SimTime, Timeline};
 use pcie_telemetry::{CounterGroup, Snapshot, Stage, StageReport, StageSample, StageStats};
-use pcie_tlp::plan::{self, PlanCache};
+use pcie_tlp::plan;
 use pcie_tlp::split;
 use pcie_tlp::types::TlpType;
 use pcie_topo::Switch;
@@ -161,9 +161,6 @@ pub struct DeviceEngine {
     max_read_retries: u32,
     /// Whether a fault plan is installed (gates error-path telemetry).
     faults_active: bool,
-    /// Memoised completion-split plans, replayed allocation-free on
-    /// the flat fault-free read path (see `pcie_tlp::plan`).
-    plans: PlanCache,
 }
 
 impl DeviceEngine {
@@ -192,18 +189,7 @@ impl DeviceEngine {
             completion_timeout: FaultPlan::none().completion_timeout,
             max_read_retries: FaultPlan::none().max_read_retries,
             faults_active: false,
-            plans: PlanCache::new(),
         }
-    }
-
-    /// Enables or disables split-plan memoisation (on by default).
-    /// Disabled, every split is re-derived per transaction — the
-    /// results are bit-identical either way (the `tests/properties.rs`
-    /// pin runs a seeded sweep both ways and compares wire counters,
-    /// DLLP streams and latency bytes), so this exists only for that
-    /// pin and for cost-budget measurements.
-    pub fn set_plan_cache_enabled(&mut self, on: bool) {
-        self.plans.set_enabled(on);
     }
 
     /// Installs a fault plan on this engine's link and copies the
@@ -547,26 +533,9 @@ impl DeviceEngine {
                 self.read_tags.release_at(last);
                 data_done = data_done.max(last);
             } else {
-                // Multi-chunk: batch the gate bookkeeping across the
-                // burst (one occupancy check instead of one per TLP —
-                // exact whenever no chunk would stall, per-TLP
-                // fallback otherwise) and replay the memoised
-                // completion-split plan allocation-free.
-                let nreq = plan::quantized_chunk_count(addr, len, mrrs);
-                let tags_at = self.read_tags.acquire_batch(t0, nreq);
-                let np_at_batch = match tags_at {
-                    Some(t) => self.nonposted_credits.acquire_batch(t, nreq),
-                    None => None,
-                };
                 for chunk in split::read_request_chunks(addr, len, mrrs) {
-                    let tag_at = match tags_at {
-                        Some(t) => t,
-                        None => self.read_tags.acquire(t0),
-                    };
-                    let np_at = match np_at_batch {
-                        Some(t) => t,
-                        None => self.nonposted_credits.acquire(tag_at),
-                    };
+                    let tag_at = self.read_tags.acquire(t0);
+                    let np_at = self.nonposted_credits.acquire(tag_at);
                     let req = self
                         .link
                         .send_tlp(Direction::Upstream, TlpType::MRd64, 0, np_at);
@@ -577,11 +546,11 @@ impl DeviceEngine {
                         self.link
                             .send_tlp(Direction::Downstream, TlpType::CplD, chunk.len, ready)
                     } else {
-                        let lens = self.plans.completion_lens(chunk.addr, chunk.len, mps, rcb);
                         self.link.send_tlp_burst(
                             Direction::Downstream,
                             TlpType::CplD,
-                            lens.iter().copied(),
+                            split::completion_chunks(chunk.addr, chunk.len, mps, rcb)
+                                .map(|c| c.len),
                             ready,
                         )
                     };
@@ -1209,14 +1178,6 @@ impl Platform {
     /// Installs a fault plan (see [`DeviceEngine::set_fault_plan`]).
     pub fn set_fault_plan(&mut self, plan: &FaultPlan, seed: u64) {
         self.engine.set_fault_plan(plan, seed);
-    }
-
-    /// Toggles split-plan memoisation (see
-    /// [`DeviceEngine::set_plan_cache_enabled`]). On by default;
-    /// determinism pins run both settings and demand identical
-    /// timing, counters and wire traffic.
-    pub fn set_plan_cache_enabled(&mut self, on: bool) {
-        self.engine.set_plan_cache_enabled(on);
     }
 
     /// The device's AER-style error counters.

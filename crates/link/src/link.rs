@@ -108,40 +108,6 @@ pub struct SendOutcome {
     pub poisoned: bool,
 }
 
-/// Direct-mapped memo of serialisation times at the link's fixed wire
-/// rate: `bytes → transfer_time(bytes, rate)`.
-///
-/// A sweep cycles through a handful of distinct wire-byte counts (one
-/// per TLP geometry, times the few DLLP-debt increments that piggyback
-/// on them), so the division + ceiling of [`transfer_time`] — paid
-/// per TLP — is almost always recomputing a value the link just
-/// produced. Wire counts are DW-multiples, so `(bytes >> 2) & 31`
-/// spreads the common populations (requests + debt, completions +
-/// debt, MPS-sized writes) over distinct slots; a collision merely
-/// recomputes. Exact by construction: a hit returns precisely the
-/// `transfer_time` result that was stored.
-#[derive(Debug, Clone)]
-struct SerMemo {
-    entries: [(u64, SimTime); 32],
-}
-
-impl SerMemo {
-    fn new() -> Self {
-        SerMemo {
-            entries: [(u64::MAX, SimTime::ZERO); 32],
-        }
-    }
-
-    #[inline]
-    fn time(&mut self, bytes: u64, rate: f64) -> SimTime {
-        let e = &mut self.entries[((bytes >> 2) & 31) as usize];
-        if e.0 != bytes {
-            *e = (bytes, transfer_time(bytes, rate));
-        }
-        e.1
-    }
-}
-
 /// A full-duplex PCIe link carrying TLPs and auto-generated DLLPs.
 ///
 /// Each direction is a FIFO serial resource ([`Timeline`]); sending a
@@ -155,8 +121,6 @@ pub struct Link {
     /// Effective serialisation rate (bits/s), precomputed from the
     /// immutable config/timing pair — read once per TLP.
     rate: f64,
-    /// Serialisation-time memo for `rate` (both directions share it).
-    ser: SerMemo,
     /// Index 0 = upstream, 1 = downstream.
     dirs: [DirState; 2],
     /// Fault injector; `None` (the default) is the exact fault-free
@@ -187,7 +151,6 @@ impl Link {
             config,
             timing,
             rate: config.phys_bw() * (1.0 - timing.skp_overhead),
-            ser: SerMemo::new(),
             dirs: [DirState::new(), DirState::new()],
             faults: None,
         }
@@ -300,15 +263,15 @@ impl Link {
             Some(inj) => (inj.decide(dir, wire_bytes * 8), inj.plan().replay_timeout),
             None => (Decision::CLEAN, SimTime::ZERO),
         };
-        let memo = &mut self.ser;
         let d = &mut self.dirs[di(dir)];
         let seq = d.next_seq;
         d.next_seq = seq_next(seq);
         // Pay off any DLLP debt this direction has accrued: the DLLP
         // bytes occupy the wire ahead of (interleaved with) this TLP.
         let debt = std::mem::take(&mut d.dllp_debt);
-        let ser = memo.time(wire_bytes + debt, rate);
-        let res = d.timeline.reserve(now, ser);
+        let res = d
+            .timeline
+            .reserve(now, transfer_time(wire_bytes + debt, rate));
         d.counters.tlps += 1;
         d.counters.tlp_bytes += wire_bytes;
         d.counters.payload_bytes += if ty.has_data() {
@@ -449,7 +412,6 @@ impl Link {
             self.timing.propagation,
         );
         let has_data = ty.has_data();
-        let memo = &mut self.ser;
         let [up, down] = &mut self.dirs;
         let (d, o) = match dir {
             Direction::Upstream => (up, down),
@@ -491,7 +453,7 @@ impl Link {
                         dllps += 2; // request + completion UpdateFC
                     }
                     count += 1;
-                    memo.time(wire_bytes + std::mem::take(&mut debt), rate)
+                    transfer_time(wire_bytes + std::mem::take(&mut debt), rate)
                 })
             }),
         );

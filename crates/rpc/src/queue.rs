@@ -24,10 +24,9 @@
 //! translates, which is exactly the gap the benchmark measures.
 
 use crate::accel::AccelModel;
-use crate::pipeline::DevicePipeline;
 use pcie_device::MultiPlatform;
 use pcie_link::Direction;
-use pcie_sim::{SimTime, Timeline};
+use pcie_sim::{EventQueue, SimTime, Timeline};
 use pcie_telemetry::{CounterGroup, LatencyHistogram, RpcStage, RpcStageSample, RpcStageStats};
 use pcie_topo::PortCounters;
 
@@ -242,7 +241,10 @@ pub struct RpcQueueSim {
     egress: Timeline,
     core_free: Vec<SimTime>,
     service: SimTime,
-    pipeline: DevicePipeline<Hop>,
+    /// Deferred hops over the timing wheel: platform issue ports are
+    /// FIFO timelines, so every hop's platform calls are made at its
+    /// event time, in event-time order (FIFO among ties).
+    hops: EventQueue<Hop>,
     inflight: u32,
     inflight_peak: u32,
     counters: RpcCounters,
@@ -276,7 +278,7 @@ impl RpcQueueSim {
             egress: Timeline::new(),
             core_free: vec![SimTime::ZERO; accel.cores as usize],
             service: accel.service,
-            pipeline: DevicePipeline::new(),
+            hops: EventQueue::new(),
             inflight: 0,
             inflight_peak: 0,
             counters: RpcCounters::default(),
@@ -300,10 +302,10 @@ impl RpcQueueSim {
             assert!(r.at >= last, "arrivals must be time-ordered");
             last = r.at;
             self.drain(r.at);
-            if self.pipeline.is_empty() {
+            if self.hops.is_empty() {
                 // Quiescent gap: jump the wheel cursor instead of
                 // cascading across the idle stretch.
-                self.pipeline.fast_forward(r.at);
+                self.hops.fast_forward(r.at);
             }
             self.counters.offered += 1;
             self.counters.req_bytes_offered += u64::from(r.req);
@@ -353,7 +355,8 @@ impl RpcQueueSim {
     /// order (hops scheduled by earlier rounds win ties with new
     /// arrivals, as in the driver simulations).
     fn drain(&mut self, until: SimTime) {
-        while let Some((at, hop)) = self.pipeline.next_before(until) {
+        while self.hops.peek_time().is_some_and(|t| t <= until) {
+            let (at, hop) = self.hops.pop().expect("peeked");
             self.issue(at, hop);
         }
     }
@@ -372,8 +375,8 @@ impl RpcQueueSim {
             req,
             resp,
         };
-        self.pipeline
-            .schedule(t2, "rpc-fabric-req", Hop::FabricReq(rpc));
+        self.hops
+            .push_labeled(t2, "rpc-fabric-req", Hop::FabricReq(rpc));
     }
 
     /// Issues one hop at its event time `at`; all platform calls carry
@@ -387,8 +390,8 @@ impl RpcQueueSim {
                     .platform
                     .p2p_write(NIC_PORT, ACCEL_PORT, at, off, rpc.req);
                 rpc.t3 = res.absorbed;
-                self.pipeline
-                    .schedule(rpc.t3, "rpc-accel-start", Hop::AccelStart(rpc));
+                self.hops
+                    .push_labeled(rpc.t3, "rpc-accel-start", Hop::AccelStart(rpc));
             }
             Hop::AccelStart(mut rpc) => {
                 // Earliest-free core, lowest index on ties —
@@ -403,8 +406,8 @@ impl RpcQueueSim {
                 let done = start + self.service;
                 self.core_free[core] = done;
                 rpc.t4 = done;
-                self.pipeline
-                    .schedule(rpc.t4, "rpc-fabric-resp", Hop::FabricResp(rpc));
+                self.hops
+                    .push_labeled(rpc.t4, "rpc-fabric-resp", Hop::FabricResp(rpc));
             }
             Hop::FabricResp(rpc) => {
                 let off = (self.resp_seq % WINDOW_PAGES) * BAR_PAGE;
@@ -412,8 +415,8 @@ impl RpcQueueSim {
                 let res = self
                     .platform
                     .p2p_write(ACCEL_PORT, NIC_PORT, at, off, rpc.resp);
-                self.pipeline
-                    .schedule(res.absorbed, "rpc-egress", Hop::Egress(rpc));
+                self.hops
+                    .push_labeled(res.absorbed, "rpc-egress", Hop::Egress(rpc));
             }
             Hop::Egress(rpc) => {
                 let t5 = at;

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Offline verification: build, test, docs, lint. Must pass with zero
-# network access — the workspace has no external dependencies.
+# Offline verification: build, test, docs, lint, golden outputs and
+# the benchmark's correctness check. Must pass with zero network
+# access — the workspace has no external dependencies.
 #
 # Usage: scripts/verify.sh
 # Exits non-zero on the first failure. Clippy and rustfmt are skipped
@@ -31,6 +32,30 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     echo "==> cargo clippy not installed; skipping lint"
 fi
+
+echo "==> scripts/golden.sh (results/*.txt regenerate byte-identically)"
+sh scripts/golden.sh
+
+# The benchmark's workloads (BENCHMARK.json) as a correctness check:
+# each runs for one second and compares every cell with the committed
+# golden digests in simbench/golden/, the only byte-exactness check on
+# the driver, flow and RPC engines. The timings are not gated here.
+echo "==> simbench: every BENCHMARK.json workload against its golden digests"
+cargo build --release --quiet --manifest-path simbench/Cargo.toml
+WORKLOADS=$(awk '/"workloads"/ { w = 1 } w && /\]/ { w = 0 }
+    w && /"name"/ { gsub(/[",]/, "", $2); print $2 }' BENCHMARK.json)
+for w in $WORKLOADS; do
+    if ! out=$(simbench/target/release/simbench --workload "$w" --seed 1 --seconds 1 --trace 0); then
+        echo "simbench $w exited non-zero" >&2
+        exit 1
+    fi
+    if ! printf '%s\n' "$out" | grep -q '"correct": true'; then
+        printf '%s\n' "$out" | tail -n 1 >&2
+        echo "simbench $w: results differ from simbench/golden/$w.txt" >&2
+        exit 1
+    fi
+    echo "==>   $w: correct"
+done
 
 # Non-fatal perf datapoint: quick suite (sequential vs parallel) and
 # per-figure regeneration timings into BENCH_sim.json, so every PR

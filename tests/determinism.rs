@@ -60,14 +60,14 @@ fn different_seeds_differ() {
 }
 
 #[test]
-fn split_plan_memoisation_is_invisible() {
-    // The device engine memoises completion split plans (MPS/RCB
-    // chunk lengths) in a small LRU. The cache is a pure replay of
-    // what the split iterator derives, so a seeded sweep of reads —
-    // sizes chosen to force multi-chunk completions, offsets chosen
-    // to rotate plan keys — must be bit-identical with the cache on
-    // and off: every issue/completion instant, both directions' wire
-    // counters (TLP *and* DLLP streams) and the host's byte ledger.
+fn multi_chunk_reads_match_pinned_fingerprint() {
+    // A seeded sweep of reads whose sizes force multi-chunk requests
+    // and completions and whose offsets rotate the MPS/RCB alignment.
+    // Every issue/done/absorbed instant, both directions' wire
+    // counters (TLP *and* DLLP streams) and the host's byte ledger
+    // are folded into one FNV-1a digest and pinned by value, so any
+    // change to the multi-chunk read path's timing or accounting
+    // shows up here.
     use pcie_bench_repro::link::Direction;
     use pcie_bench_repro::sim::{SimTime, SplitMix64};
 
@@ -76,32 +76,46 @@ fn split_plan_memoisation_is_invisible() {
         transfer: 2048,
         ..params()
     };
-    let setup = BenchSetup::nfp6000_hsw();
-    let run = |cache_enabled: bool| {
-        let (mut platform, buf) = setup.build(&p);
-        platform.set_plan_cache_enabled(cache_enabled);
-        let mut rng = SplitMix64::new(0x9d15_ab1e);
-        let mut want = SimTime::ZERO;
-        let mut trace = Vec::new();
-        for _ in 0..300 {
-            // Unaligned offsets and odd lengths exercise every split
-            // family: single-chunk, RCB-straddling and MPS-bounded.
-            let off = rng.range(0, p.window - 4096);
-            let len = rng.range(1, 2049) as u32;
-            let r = platform.dma_read(want, &buf, off, len, DmaPath::DmaEngine);
-            want = r.done + SimTime::from_ns(60);
-            trace.push((r.issued, r.done, r.absorbed));
-        }
-        let up = *platform.link().counters(Direction::Upstream);
-        let down = *platform.link().counters(Direction::Downstream);
-        (trace, up, down, platform.host.stats())
+    let (mut platform, buf) = BenchSetup::nfp6000_hsw().build(&p);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |w: u64| {
+        h ^= w;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     };
-    let enabled = run(true);
-    let disabled = run(false);
-    assert_eq!(enabled.0, disabled.0, "issue/completion trace diverged");
-    assert_eq!(enabled.1, disabled.1, "upstream wire counters diverged");
-    assert_eq!(enabled.2, disabled.2, "downstream wire counters diverged");
-    assert_eq!(enabled.3, disabled.3, "host byte ledger diverged");
+    let mut rng = SplitMix64::new(0x9d15_ab1e);
+    let mut want = SimTime::ZERO;
+    for _ in 0..300 {
+        // Unaligned offsets and odd lengths exercise every split
+        // family: single-chunk, RCB-straddling and MPS-bounded.
+        let off = rng.range(0, p.window - 4096);
+        let len = rng.range(1, 2049) as u32;
+        let r = platform.dma_read(want, &buf, off, len, DmaPath::DmaEngine);
+        want = r.done + SimTime::from_ns(60);
+        for t in [r.issued, r.done, r.absorbed] {
+            eat(t.as_ps());
+        }
+    }
+    for dir in [Direction::Upstream, Direction::Downstream] {
+        let c = platform.link().counters(dir);
+        for w in [c.tlps, c.tlp_bytes, c.payload_bytes, c.dllps, c.dllp_bytes] {
+            eat(w);
+        }
+    }
+    let m = platform.host.stats();
+    for w in [
+        m.read_tlps,
+        m.write_tlps,
+        m.bytes_read,
+        m.bytes_written,
+        m.remote_tlps,
+        m.p2p_redirects,
+    ] {
+        eat(w);
+    }
+    assert_eq!(
+        h, 0x9bdb_16c8_49f1_8daa,
+        "multi-chunk read path changed: fingerprint {h:#018x}"
+    );
 }
 
 #[test]
