@@ -39,7 +39,7 @@ sh scripts/golden.sh
 # The benchmark's workloads (BENCHMARK.json) as a correctness check:
 # each runs for one second and compares every cell with the committed
 # golden digests in simbench/golden/, the only byte-exactness check on
-# the driver, flow and RPC engines. The timings are not gated here.
+# the DriverSim, FlowEngine and RpcEngine runs. Timings are not gated here.
 echo "==> simbench: every BENCHMARK.json workload against its golden digests"
 cargo build --release --quiet --manifest-path simbench/Cargo.toml
 WORKLOADS=$(awk '/"workloads"/ { w = 1 } w && /\]/ { w = 0 }
