@@ -8,11 +8,12 @@
 #   scripts/golden.sh --full   # also suite_paper.txt (the §5.4 paper suite)
 #
 # Each results/<name>.txt is the stdout of the binary <name>, at default
-# scale. Two exceptions: suite_paper.txt is `suite` with
-# PCIE_BENCH_SUITE=paper, and fig6 runs with PCIE_BENCH_OUT=results/raw
-# (gitignored) so its export lines are reproduced. Host-timing lines
-# (`# BENCH ...`, `# N tests in ...s`, `# sequential-equivalent ...`)
-# are filtered from both sides before diffing.
+# scale. Exceptions: suite_paper.txt is `suite` with
+# PCIE_BENCH_SUITE=paper, <bench>_quick.txt is `<bench> --quick`, and
+# fig6 runs with PCIE_BENCH_OUT=results/raw (gitignored) so its export
+# lines are reproduced. Host-timing lines (`# BENCH ...`, `# N tests in
+# ...s`, `# sequential-equivalent ...`) are filtered from both sides
+# before diffing.
 #
 # Exits 1 if any file differs, 2 on a bad argument.
 
@@ -45,6 +46,7 @@ regen() {
     case $1 in
     suite_paper) PCIE_BENCH_SUITE=paper ./target/release/suite ;;
     fig6_latency_cdf) PCIE_BENCH_OUT=results/raw ./target/release/fig6_latency_cdf ;;
+    *_quick) "./target/release/${1%_quick}" --quick ;;
     *) "./target/release/$1" ;;
     esac
 }
