@@ -26,6 +26,7 @@ use crate::rss::{FlowKey, Rss, RssKey};
 use crate::table::{FlowTable, FlowTableStats};
 use pcie_device::Platform;
 use pcie_par::Pool;
+use pcie_sim::hash::Fnv1a;
 use pcie_sim::{SimTime, SplitMix64};
 use pcie_telemetry::{CounterGroup, LatencyHistogram, Snapshot};
 
@@ -231,16 +232,11 @@ impl FlowRunReport {
     /// identical iff their fingerprints match — the pin used to
     /// assert pool-width invariance.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over u64 words: stable, dependency-free, and
-        // sensitive to field order (which is fixed here).
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |w: u64| {
-            h ^= w;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
+        // Field order is fixed here: the digest is order-sensitive.
+        let mut h = Fnv1a::default();
         for q in &self.queues {
             let c = &q.counters;
-            for w in [
+            h.eat_all([
                 u64::from(q.queue),
                 c.offered,
                 c.delivered,
@@ -253,11 +249,9 @@ impl FlowRunReport {
                 c.refills,
                 u64::from(q.ring_peak),
                 q.elapsed.as_ps(),
-            ] {
-                eat(w);
-            }
+            ]);
         }
-        for w in [
+        h.eat_all([
             self.table.inserts,
             self.table.completions,
             self.table.packets,
@@ -268,17 +262,10 @@ impl FlowRunReport {
             self.e2e.count(),
             self.e2e.overflow(),
             self.e2e.total_ns().to_bits(),
-        ] {
-            eat(w);
-        }
-        for &(start, count) in &self.e2e.nonzero() {
-            eat(start);
-            eat(count);
-        }
-        for &n in &self.flows_per_queue {
-            eat(n);
-        }
-        h
+        ]);
+        h.eat_all(self.e2e.nonzero().into_iter().flat_map(|(s, c)| [s, c]));
+        h.eat_all(self.flows_per_queue.iter().copied());
+        h.finish()
     }
 
     /// Telemetry snapshot: `flows.table`, `flows.rss`, and one

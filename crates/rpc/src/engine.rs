@@ -25,6 +25,7 @@ use pcie_link::LinkTiming;
 use pcie_model::config::LinkConfig;
 use pcie_nic::traffic::Workload;
 use pcie_par::Pool;
+use pcie_sim::hash::Fnv1a;
 use pcie_sim::{SimTime, SplitMix64};
 use pcie_telemetry::{CounterGroup, RpcStageStats, Snapshot};
 
@@ -315,16 +316,11 @@ impl RpcRunReport {
     /// behaviourally identical iff their fingerprints match — the pin
     /// used to assert pool-width invariance.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over u64 words: stable, dependency-free, and
-        // sensitive to field order (which is fixed here).
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |w: u64| {
-            h ^= w;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
+        // Field order is fixed here: the digest is order-sensitive.
+        let mut h = Fnv1a::default();
         for q in &self.queues {
             let c = &q.counters;
-            for w in [
+            h.eat_all([
                 u64::from(q.queue),
                 c.offered,
                 c.completed,
@@ -341,11 +337,9 @@ impl RpcRunReport {
                 q.p2p_redirects,
                 q.iommu_hits,
                 q.iommu_misses,
-            ] {
-                eat(w);
-            }
+            ]);
             for p in &q.ports {
-                for w in [
+                h.eat_all([
                     p.up_tlps,
                     p.up_bytes,
                     p.down_tlps,
@@ -356,30 +350,21 @@ impl RpcRunReport {
                     p.p2p_out_bytes,
                     p.rr_grants,
                     p.credit_stalls,
-                ] {
-                    eat(w);
-                }
+                ]);
             }
         }
         let e2e = self.stages.end_to_end();
-        for w in [
+        h.eat_all([
             self.window.as_ps(),
             self.elapsed.as_ps(),
             self.stages.rpcs(),
             e2e.count(),
             e2e.overflow(),
             e2e.total_ns().to_bits(),
-        ] {
-            eat(w);
-        }
-        for &(start, count) in &e2e.nonzero() {
-            eat(start);
-            eat(count);
-        }
-        for &n in &self.rpcs_per_queue {
-            eat(n);
-        }
-        h
+        ]);
+        h.eat_all(e2e.nonzero().into_iter().flat_map(|(s, c)| [s, c]));
+        h.eat_all(self.rpcs_per_queue.iter().copied());
+        h.finish()
     }
 
     /// Telemetry snapshot: `rpc.engine`, the merged `rpc.stages`

@@ -11,6 +11,10 @@
 //!
 //! Only use these maps with simulator-generated keys (addresses,
 //! indices, handles) — never with externally controlled input.
+//!
+//! [`Fnv1a`] is the other hash here: a run *fingerprint*, not a map
+//! hasher. Reports fold every observable counter into one `u64` that
+//! tests pin by value, so its output must never change.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -79,6 +83,40 @@ impl Hasher for FxHasher {
     }
 }
 
+/// FNV-1a folded over whole `u64` words (xor the word, multiply by
+/// the 64-bit FNV prime): stable, dependency-free and sensitive to
+/// word order. Run reports and determinism tests digest their
+/// observable state with it and pin the result by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    /// Starts from the 64-bit FNV offset basis.
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Folds one word into the digest.
+    #[inline]
+    pub fn eat(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    /// Folds every word in order.
+    pub fn eat_all(&mut self, words: impl IntoIterator<Item = u64>) {
+        for w in words {
+            self.eat(w);
+        }
+    }
+
+    /// The digest so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,6 +151,16 @@ mod tests {
         assert_eq!(m.len(), 100);
         assert_eq!(m.get(&(42 * 64)), Some(&42));
         assert_eq!(m.get(&1), None);
+    }
+
+    #[test]
+    fn fnv1a_is_pinned_and_order_sensitive() {
+        let mut h = Fnv1a::default();
+        h.eat_all([1, 2]);
+        assert_eq!(h.finish(), 0x082f_2407_b4e8_902a);
+        let mut swapped = Fnv1a::default();
+        swapped.eat_all([2, 1]);
+        assert_ne!(swapped.finish(), h.finish(), "word order matters");
     }
 
     #[test]

@@ -69,6 +69,7 @@ fn multi_chunk_reads_match_pinned_fingerprint() {
     // change to the multi-chunk read path's timing or accounting
     // shows up here.
     use pcie_bench_repro::link::Direction;
+    use pcie_bench_repro::sim::hash::Fnv1a;
     use pcie_bench_repro::sim::{SimTime, SplitMix64};
 
     let p = BenchParams {
@@ -77,11 +78,7 @@ fn multi_chunk_reads_match_pinned_fingerprint() {
         ..params()
     };
     let (mut platform, buf) = BenchSetup::nfp6000_hsw().build(&p);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |w: u64| {
-        h ^= w;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut h = Fnv1a::default();
     let mut rng = SplitMix64::new(0x9d15_ab1e);
     let mut want = SimTime::ZERO;
     for _ in 0..300 {
@@ -91,27 +88,22 @@ fn multi_chunk_reads_match_pinned_fingerprint() {
         let len = rng.range(1, 2049) as u32;
         let r = platform.dma_read(want, &buf, off, len, DmaPath::DmaEngine);
         want = r.done + SimTime::from_ns(60);
-        for t in [r.issued, r.done, r.absorbed] {
-            eat(t.as_ps());
-        }
+        h.eat_all([r.issued, r.done, r.absorbed].map(SimTime::as_ps));
     }
     for dir in [Direction::Upstream, Direction::Downstream] {
         let c = platform.link().counters(dir);
-        for w in [c.tlps, c.tlp_bytes, c.payload_bytes, c.dllps, c.dllp_bytes] {
-            eat(w);
-        }
+        h.eat_all([c.tlps, c.tlp_bytes, c.payload_bytes, c.dllps, c.dllp_bytes]);
     }
     let m = platform.host.stats();
-    for w in [
+    h.eat_all([
         m.read_tlps,
         m.write_tlps,
         m.bytes_read,
         m.bytes_written,
         m.remote_tlps,
         m.p2p_redirects,
-    ] {
-        eat(w);
-    }
+    ]);
+    let h = h.finish();
     assert_eq!(
         h, 0x9bdb_16c8_49f1_8daa,
         "multi-chunk read path changed: fingerprint {h:#018x}"
