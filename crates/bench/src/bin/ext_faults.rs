@@ -23,6 +23,7 @@
 use pcie_bench_harness::{baseline_params, header, n};
 use pcie_device::DmaPath;
 use pcie_par::Pool;
+use pcie_telemetry::StageSet;
 use pciebench::report::format_multi_series;
 use pciebench::{run_bandwidth_with, run_latency, BenchScratch, BenchSetup, BwOp, LatOp, Stage};
 

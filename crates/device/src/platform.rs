@@ -32,7 +32,7 @@ use pcie_host::{HostBuffer, HostSystem};
 use pcie_link::{Direction, Link, LinkTiming};
 use pcie_model::config::LinkConfig;
 use pcie_sim::{SimTime, Timeline};
-use pcie_telemetry::{CounterGroup, Snapshot, Stage, StageReport, StageSample, StageStats};
+use pcie_telemetry::{CounterGroup, Snapshot, Stage, StageBreakdown, StageReport, StageSample};
 use pcie_tlp::plan;
 use pcie_tlp::split;
 use pcie_tlp::types::TlpType;
@@ -144,7 +144,7 @@ pub struct DeviceEngine {
     /// Per-stage latency attribution; `None` (the default) costs one
     /// untaken branch per DMA — see `pcie-telemetry`'s
     /// zero-cost-when-disabled contract.
-    telem: Option<Box<StageStats>>,
+    telem: Option<Box<StageBreakdown<Stage>>>,
     dma_reads: u64,
     dma_writes: u64,
     dma_write_reads: u64,
@@ -211,7 +211,7 @@ impl DeviceEngine {
     /// Turns on per-stage latency attribution for subsequent DMAs.
     pub fn enable_telemetry(&mut self) {
         if self.telem.is_none() {
-            self.telem = Some(Box::new(StageStats::new()));
+            self.telem = Some(Box::new(StageBreakdown::new()));
         }
     }
 
@@ -221,7 +221,7 @@ impl DeviceEngine {
     }
 
     /// The accumulated stage attribution, if enabled.
-    pub fn stage_stats(&self) -> Option<&StageStats> {
+    pub fn stage_stats(&self) -> Option<&StageBreakdown<Stage>> {
         self.telem.as_deref()
     }
 
@@ -727,7 +727,7 @@ impl DeviceEngine {
             // seven stages still telescope to `done - issued`.
             let replay_ns =
                 (np_final - first_np).as_ns_f64() + req_fault.as_ns_f64() + cpl_fault.as_ns_f64();
-            let mut s = StageSample::default();
+            let mut s = StageSample::<Stage>::default();
             s.set(Stage::Issue, (t0 - issued).as_ns_f64())
                 .set(Stage::TagAlloc, (first_np - t0).as_ns_f64())
                 .set(
@@ -1288,7 +1288,7 @@ impl Platform {
     }
 
     /// The accumulated stage attribution, if enabled.
-    pub fn stage_stats(&self) -> Option<&StageStats> {
+    pub fn stage_stats(&self) -> Option<&StageBreakdown<Stage>> {
         self.engine.stage_stats()
     }
 
@@ -1570,7 +1570,7 @@ mod tests {
             total_lat += r.latency().as_ns_f64();
         }
         let stats = p.stage_stats().unwrap();
-        assert_eq!(stats.transactions(), 32);
+        assert_eq!(stats.count(), 32);
         // Stage contributions sum to the measured end-to-end latency
         // within floating-point rounding (the acceptance criterion).
         assert!(
@@ -1603,7 +1603,7 @@ mod tests {
             total_lat += r.latency().as_ns_f64();
         }
         let stats = p.stage_stats().unwrap();
-        assert_eq!(stats.transactions(), 16);
+        assert_eq!(stats.count(), 16);
         assert!(
             (stats.grand_total_ns() - total_lat).abs() < 1e-6 * total_lat,
             "WRRD stages {} vs end-to-end {}",
@@ -1796,7 +1796,7 @@ mod tests {
             total_lat += r.latency().as_ns_f64();
         }
         let stats = p.stage_stats().unwrap();
-        assert_eq!(stats.transactions(), n, "no aborts at this BER");
+        assert_eq!(stats.count(), n, "no aborts at this BER");
         // Stage sums must telescope exactly even with replays.
         assert!(
             (stats.grand_total_ns() - total_lat).abs() < 1e-6 * total_lat,

@@ -52,6 +52,7 @@
 #![deny(missing_docs)]
 
 pub mod config;
+pub mod rx;
 pub mod sim;
 
 pub use config::{DriverConfig, DriverPattern, OfferedLoad, PATTERNS};

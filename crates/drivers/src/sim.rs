@@ -34,39 +34,13 @@
 //! packet (asserted in tests and by the `ext_drivers` benchmark).
 
 use crate::config::{DriverConfig, DriverPattern, OfferedLoad};
+use crate::rx::ring_offsets::{DESC_ENTRY, MSI_VECTOR_OFF, TXWB_OFF, TX_RING_OFF};
+use crate::rx::{Due, Pending, Refill, RefillDoorbell, RingCounters, RxCore, RxSpec};
+use crate::rx::{RX_SLOTS, SLOT_BYTES};
 use pcie_device::{DmaPath, Platform};
-use pcie_host::buffer::BufferAllocator;
-use pcie_host::HostBuffer;
+use pcie_sim::time::diff_ns;
 use pcie_sim::{SimTime, SplitMix64};
-use pcie_telemetry::{CounterGroup, DriverStage, DriverStageSample, DriverStageStats, Snapshot};
-use std::collections::VecDeque;
-
-use self::ring_offsets::{
-    CQ_RING_OFF, DESC_ENTRY, MSI_VECTOR_OFF, RX_RING_OFF, TXWB_OFF, TX_RING_OFF,
-};
-
-/// Descriptor-buffer layout constants shared by the simulation and its
-/// documentation (DESIGN.md §10).
-pub mod ring_offsets {
-    /// RX/fill ring base offset within the descriptor buffer.
-    pub const RX_RING_OFF: u64 = 0;
-    /// TX ring base offset.
-    pub const TX_RING_OFF: u64 = 16 * 1024;
-    /// Completion ring base offset.
-    pub const CQ_RING_OFF: u64 = 32 * 1024;
-    /// MSI/MSI-X vector target address offset.
-    pub const MSI_VECTOR_OFF: u64 = 48 * 1024;
-    /// TX completion write-back cell offset.
-    pub const TXWB_OFF: u64 = 48 * 1024 + 64;
-    /// Descriptor entry size in bytes (16 B, the common hardware
-    /// format: address + length + flags).
-    pub const DESC_ENTRY: u32 = 16;
-}
-
-/// Time between device polls of a host-resident fill/buffer ring when
-/// no doorbell is required (AF_XDP fill ring in need-wakeup mode with
-/// entries available, io_uring registered buffer rings).
-const FILL_POLL: SimTime = SimTime::from_ns(200);
+use pcie_telemetry::{CounterGroup, DriverStage, Snapshot, StageBreakdown, StageSample};
 
 /// Salt folded into the config seed (via [`SplitMix64::salted`]) so
 /// the XDP verdict stream never collides with the fault, flow or
@@ -147,6 +121,20 @@ impl DriverCounters {
     }
 }
 
+impl RingCounters for DriverCounters {
+    fn doorbell(&mut self, wakeup: bool) {
+        if wakeup {
+            self.wakeups += 1;
+        } else {
+            self.doorbells += 1;
+        }
+    }
+
+    fn refill(&mut self) {
+        self.refills += 1;
+    }
+}
+
 /// Result of one [`DriverSim::run`].
 #[derive(Debug, Clone, Copy)]
 pub struct DriverRunResult {
@@ -176,17 +164,6 @@ pub struct DriverRunResult {
     pub p99_ns: f64,
 }
 
-/// One RX packet visible in host memory awaiting driver attention.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    /// Wire arrival time.
-    arr: SimTime,
-    /// Host-memory visibility (payload + completion absorbed).
-    hw: SimTime,
-    /// Packet index (selects the buffer slot).
-    idx: u32,
-}
-
 /// A processed packet awaiting TX issuance, with its stage boundaries.
 #[derive(Debug, Clone, Copy)]
 struct TxItem {
@@ -199,18 +176,9 @@ struct TxItem {
     app_done: SimTime,
 }
 
-/// One phase of a driver/device interaction whose platform
-/// transactions have not been issued yet.
-///
-/// The platform's issue ports and wire timelines are FIFO: a
-/// transaction issued *out of call order* at a future want time pushes
-/// every later-issued earlier-want transaction behind it, which under
-/// load compounds into unbounded artificial queueing. Driver and
-/// device follow-on actions (TX batches, refills) are therefore
-/// *scheduled* when decided and *issued* phase by phase, each phase's
-/// platform calls carrying a want time equal to the phase's own event
-/// time — the same "issue at or behind now" discipline as `NicSim`'s
-/// lag, generalised to an event queue.
+/// One phase of the TX echo or an RX refill whose platform
+/// transactions have not been issued yet (see [`RxCore`] for why
+/// phases are scheduled when decided and issued at their own time).
 #[derive(Debug, Clone)]
 enum Deferred {
     /// Driver publishes TX descriptors and rings the doorbell.
@@ -240,19 +208,14 @@ enum Deferred {
         /// Descriptors to retire.
         n: u32,
     },
-    /// Driver returns `n` buffers to the free list (+ doorbell).
-    RefillPost {
-        /// Buffers returned.
-        n: u32,
-    },
-    /// Device fetches the refill descriptors; the buffers become
-    /// usable when the fetch completes.
-    RefillFetch {
-        /// Coalesced descriptor ranges to fetch.
-        ranges: Vec<(u64, u32)>,
-        /// Buffers credited on completion.
-        n: u32,
-    },
+    /// An RX refill phase, issued by the [`RxCore`].
+    Refill(Refill),
+}
+
+impl From<Refill> for Deferred {
+    fn from(r: Refill) -> Self {
+        Deferred::Refill(r)
+    }
 }
 
 /// A driver interaction-pattern simulation bound to a platform.
@@ -267,47 +230,18 @@ pub struct DriverSim {
     pub pattern: DriverPattern,
     /// The knobs in force.
     pub cfg: DriverConfig,
-    platform: Platform,
-    /// Packet payload buffer: RX slots in the lower half, TX in the
-    /// upper, 2 KiB each.
-    pkt_buf: HostBuffer,
-    /// Descriptor buffer: rings + MSI vector (see [`ring_offsets`]).
-    desc_buf: HostBuffer,
-    /// RX free-list / fill ring (driver produces, device consumes).
-    rx_ring: pcie_nic::DescriptorRing,
+    /// The RX half: platform, buffers, RX and completion rings, the
+    /// deferred-phase wheel. The packet buffer holds the RX slots in
+    /// its lower half and the TX slots in its upper half.
+    rx: RxCore<Deferred>,
     /// TX ring (driver produces, device consumes).
     tx_ring: pcie_nic::DescriptorRing,
-    /// Completion ring (device produces, driver consumes).
-    cq_ring: pcie_nic::DescriptorRing,
-    /// RX buffers the *device* currently holds (posted and fetched).
-    buffers_avail: u32,
-    /// Refill batches in flight: (device-visible time, buffer count).
-    refill_events: VecDeque<(SimTime, u32)>,
-    /// Buffers consumed since the last refill batch.
-    consumed_since_refill: u32,
-    /// Packets visible in host memory awaiting driver processing.
-    pending: VecDeque<Pending>,
-    /// Scheduled interaction phases not yet issued to the platform,
-    /// on the simulator's timing wheel: time-ordered with FIFO
-    /// tie-breaking (see [`Deferred`]), with the wheel's
-    /// scheduled-in-the-past check guarding the driver's event logic.
-    deferred: pcie_sim::EventQueue<Deferred>,
-    /// When the driver core becomes free.
-    cpu_free: SimTime,
-    /// Earliest next poll-loop iteration (busy-polling patterns).
-    next_poll: SimTime,
-    /// Payload size of the in-progress [`DriverSim::run`].
-    run_pkt_size: u32,
     /// Event counters.
     pub counters: DriverCounters,
     /// Per-stage latency attribution for delivered packets.
-    pub stages: DriverStageStats,
+    pub stages: StageBreakdown<DriverStage>,
     /// XDP verdict stream (forked from the config seed).
     rng: SplitMix64,
-    /// Latest TX wire completion.
-    done_max: SimTime,
-    slot_scratch: Vec<u32>,
-    range_scratch: Vec<(u64, u32)>,
 }
 
 impl DriverSim {
@@ -319,67 +253,34 @@ impl DriverSim {
     /// On an invalid config (see [`DriverConfig::validate`]).
     pub fn new(pattern: DriverPattern, cfg: DriverConfig, platform: Platform) -> Self {
         cfg.validate().expect("invalid driver config");
-        let mut alloc = BufferAllocator::default_layout();
-        let pkt_buf = alloc.alloc(4 << 20, 0);
-        let desc_buf = alloc.alloc(64 * 1024, 0);
-        let cq_cap = match pattern {
-            DriverPattern::IoUring => cfg.cq_size,
-            _ => cfg.ring_size,
+        let (cq_size, doorbell) = match pattern {
+            DriverPattern::KernelIrq | DriverPattern::DpdkPoll => {
+                (cfg.ring_size, RefillDoorbell::Always)
+            }
+            DriverPattern::AfXdp => (cfg.ring_size, RefillDoorbell::NeedWakeup),
+            DriverPattern::IoUring => (cfg.cq_size, RefillDoorbell::Never),
         };
-        let rx_ring =
-            pcie_nic::DescriptorRing::new(&desc_buf, RX_RING_OFF, DESC_ENTRY, cfg.ring_size);
+        let spec = RxSpec {
+            // RX slots, then as many TX slots.
+            pkt_buf_bytes: 2 * u64::from(RX_SLOTS) * SLOT_BYTES,
+            ring_size: cfg.ring_size,
+            cq_size,
+            refill_batch: cfg.refill_batch,
+            doorbell,
+        };
+        let mut counters = DriverCounters::default();
+        let rx = RxCore::new(platform, spec, &mut counters);
         let tx_ring =
-            pcie_nic::DescriptorRing::new(&desc_buf, TX_RING_OFF, DESC_ENTRY, cfg.ring_size);
-        let cq_ring = pcie_nic::DescriptorRing::new(&desc_buf, CQ_RING_OFF, DESC_ENTRY, cq_cap);
-        let rng = SplitMix64::salted(cfg.seed, DRIVER_STREAM_SALT).fork();
-        let mut sim = DriverSim {
+            pcie_nic::DescriptorRing::new(&rx.desc_buf, TX_RING_OFF, DESC_ENTRY, cfg.ring_size);
+        DriverSim {
             pattern,
             cfg,
-            platform,
-            pkt_buf,
-            desc_buf,
-            rx_ring,
+            rx,
             tx_ring,
-            cq_ring,
-            buffers_avail: 0,
-            refill_events: VecDeque::new(),
-            consumed_since_refill: 0,
-            pending: VecDeque::new(),
-            deferred: pcie_sim::EventQueue::new(),
-            cpu_free: SimTime::ZERO,
-            next_poll: SimTime::ZERO,
-            run_pkt_size: 0,
-            counters: DriverCounters::default(),
-            stages: DriverStageStats::new(),
-            rng,
-            done_max: SimTime::ZERO,
-            slot_scratch: Vec::with_capacity(1024),
-            range_scratch: Vec::with_capacity(8),
-        };
-        // Rings and packet buffers are driver-touched continuously and
-        // stay cache-resident, as in `NicSim`.
-        sim.platform.host.host_warm(&sim.desc_buf, 0, 64 * 1024);
-        sim.platform.host.host_warm(&sim.pkt_buf, 0, 4 << 20);
-        // Initial fill: the driver posts the whole free list before
-        // enabling RX — one tail write, one coalesced descriptor
-        // fetch. Traffic starts only after the fetch completes.
-        let initial = sim.rx_ring.free();
-        sim.rx_ring.produce_into(initial, &mut sim.slot_scratch);
-        sim.counters.doorbells += 1;
-        let t0 = sim.platform.pio_write(SimTime::ZERO, 4);
-        sim.rx_ring
-            .dma_ranges_into(&sim.slot_scratch, &mut sim.range_scratch);
-        let mut done = t0;
-        for i in 0..sim.range_scratch.len() {
-            let (off, len) = sim.range_scratch[i];
-            let r = sim
-                .platform
-                .dma_read(t0, &sim.desc_buf, off, len, DmaPath::DmaEngine);
-            done = done.max(r.done);
+            counters,
+            stages: StageBreakdown::new(),
+            rng: SplitMix64::salted(cfg.seed, DRIVER_STREAM_SALT).fork(),
         }
-        sim.buffers_avail = initial;
-        sim.done_max = done;
-        sim
     }
 
     /// Offers `n` packets of `pkt_size` bytes under the configured
@@ -387,7 +288,6 @@ impl DriverSim {
     pub fn run(&mut self, pkt_size: u32, n: u32) -> DriverRunResult {
         assert!((60..=2048).contains(&pkt_size), "unrealistic packet");
         assert!(n > 0);
-        self.run_pkt_size = pkt_size;
         let wire = SimTime::from_ns_f64(pkt_size as f64 * 8.0 / self.cfg.mac_gbps);
         let inter = match self.cfg.load {
             OfferedLoad::Saturate => wire,
@@ -398,19 +298,9 @@ impl DriverSim {
         let mut next_arr = SimTime::ZERO;
         for i in 0..n {
             let mut arr = next_arr;
-            self.advance_driver(arr);
-            self.apply_refills(arr);
-            if self.deferred.is_empty() {
-                // Quiescent: every interaction phase at or before `arr`
-                // has been issued and nothing later is pending, and all
-                // follow-on work is scheduled at ≥ the times it is
-                // decided at (≥ `arr`). Declaring the gap lets the
-                // wheel jump its cursor in O(1) instead of cascading
-                // across the idle stretch — the win behind low-load
-                // (p99) runs with coalescing timers tens of µs out.
-                self.deferred.fast_forward(arr);
-            }
-            if self.buffers_avail == 0 {
+            self.advance(arr);
+            self.rx.settle(arr);
+            if self.rx.buffers_avail() == 0 {
                 match self.cfg.load {
                     OfferedLoad::OpenLoopGbps(_) => {
                         // Open loop: the wire does not wait. No posted
@@ -429,14 +319,16 @@ impl DriverSim {
                 }
             }
             self.counters.offered += 1;
-            self.device_rx(arr, pkt_size, i);
+            if !self.rx.device_rx(arr, pkt_size, i) {
+                self.counters.cq_overflows += 1;
+            }
             next_arr += inter;
         }
         // Drain: service everything still pending. Coalescing timers
         // fire their partial batches here.
-        self.advance_driver(SimTime::MAX);
+        self.advance(SimTime::MAX);
 
-        let elapsed = self.done_max;
+        let elapsed = self.rx.done_max;
         let secs = elapsed.as_ns_f64() * 1e-9;
         let delivered = self.counters.delivered;
         let e2e = self.stages.end_to_end();
@@ -472,71 +364,32 @@ impl DriverSim {
     /// engine groups plus the driver counters, ring counters and the
     /// six-stage driver latency breakdown.
     pub fn snapshot(&self, label: impl Into<String>) -> Snapshot {
-        let mut snap = self.platform.telemetry_snapshot(label);
+        let mut snap = self.rx.platform.telemetry_snapshot(label);
         snap.add_group(self.counters.telemetry_group(self.pattern));
         snap.add_group(self.stages.telemetry_group());
-        snap.add_group(self.rx_ring.telemetry_group("rx"));
+        snap.add_group(self.rx.rx_ring.telemetry_group("rx"));
         snap.add_group(self.tx_ring.telemetry_group("tx"));
-        snap.add_group(self.cq_ring.telemetry_group("cq"));
+        snap.add_group(self.rx.cq_ring.telemetry_group("cq"));
         snap
     }
 
     /// Read access to the underlying platform (wire counters etc.).
     pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
-
-    // ----- device side ---------------------------------------------
-
-    /// One packet arriving off the wire at `arr`: consume a posted
-    /// buffer, DMA the payload, write the completion entry.
-    fn device_rx(&mut self, arr: SimTime, pkt_size: u32, idx: u32) {
-        debug_assert!(self.buffers_avail > 0);
-        self.rx_ring.consume_into(1, &mut self.slot_scratch);
-        debug_assert!(!self.slot_scratch.is_empty());
-        self.buffers_avail -= 1;
-
-        let rx_slots = (self.pkt_buf.len() / 2 / 2048) as u32;
-        let rx_off = (idx % rx_slots) as u64 * 2048;
-        let payload =
-            self.platform
-                .dma_write(arr, &self.pkt_buf, rx_off, pkt_size, DmaPath::DmaEngine);
-
-        // Completion entry. A full CQ drops the completion (io_uring
-        // CQ-overflow semantics: the payload DMA already happened —
-        // wasted wire work) and the device silently recycles the frame
-        // to its free list, with no host involvement.
-        if self.cq_ring.free() == 0 {
-            self.counters.cq_overflows += 1;
-            self.rx_ring.produce_into(1, &mut self.slot_scratch);
-            self.buffers_avail += 1;
-            self.done_max = self.done_max.max(payload.done);
-            return;
-        }
-        self.cq_ring.produce_into(1, &mut self.slot_scratch);
-        let cq_off = self.cq_ring.slot_offset(self.slot_scratch[0]);
-        let wb =
-            self.platform
-                .dma_write(arr, &self.desc_buf, cq_off, DESC_ENTRY, DmaPath::DmaEngine);
-        let hw = payload.absorbed.max(wb.absorbed);
-        self.pending.push_back(Pending { arr, hw, idx });
+        &self.rx.platform
     }
 
     /// Blocks (in virtual time) until a posted buffer is available;
     /// returns the adjusted arrival time.
     fn wait_for_buffer(&mut self, mut arr: SimTime) -> SimTime {
         let mut guard = 0u32;
-        while self.buffers_avail == 0 {
+        while self.rx.buffers_avail() == 0 {
             // The earliest thing that can make progress: a refill
             // fetch landing, a scheduled interaction phase, or a
             // notification trigger.
-            let mut next = self.refill_events.iter().map(|&(t, _)| t).min();
-            for cand in [self.deferred.peek_time(), self.next_action_time()]
+            let next = [self.rx.next_progress(), self.next_action_time()]
                 .into_iter()
                 .flatten()
-            {
-                next = Some(next.map_or(cand, |t: SimTime| t.min(cand)));
-            }
+                .min();
             let Some(t) = next else {
                 panic!(
                     "driver deadlock: no buffers, no refills, nothing pending \
@@ -545,8 +398,8 @@ impl DriverSim {
                 );
             };
             arr = arr.max(t);
-            self.advance_driver(arr);
-            self.apply_refills(arr);
+            self.advance(arr);
+            self.rx.apply_refills(arr);
             guard += 1;
             assert!(guard < 1_000_000, "livelock in buffer wait");
         }
@@ -555,26 +408,13 @@ impl DriverSim {
 
     // ----- driver side ---------------------------------------------
 
-    /// Schedules `action` at `at` on the deferred timing wheel.
-    fn schedule(&mut self, at: SimTime, action: Deferred) {
-        self.deferred.push_labeled(at, "driver-phase", action);
-    }
-
     /// Runs every driver event — scheduled interaction phases and
     /// notification triggers — whose time is ≤ `until`, in time order.
-    fn advance_driver(&mut self, until: SimTime) {
-        loop {
-            let trigger = self.next_action_time();
-            let phase = self.deferred.peek_time();
-            match (trigger, phase) {
-                // Scheduled phases win ties: they were decided by an
-                // earlier round.
-                (_, Some(ti)) if ti <= until && trigger.is_none_or(|tt| ti <= tt) => {
-                    let (at, action) = self.deferred.pop().unwrap();
-                    self.issue(at, action);
-                }
-                (Some(tt), _) if tt <= until => self.service(tt),
-                _ => break,
+    fn advance(&mut self, until: SimTime) {
+        while let Some(due) = self.rx.next_due(self.next_action_time(), until) {
+            match due {
+                Due::Phase(at, phase) => self.issue(at, phase),
+                Due::Service(t) => self.service(t),
             }
         }
     }
@@ -582,46 +422,37 @@ impl DriverSim {
     /// When the driver next notices pending work, or `None` if nothing
     /// is pending.
     fn next_action_time(&self) -> Option<SimTime> {
-        let first = self.pending.front()?;
-        Some(match self.pattern {
+        match self.pattern {
+            // The poll loop runs on a fixed-cost iteration grid
+            // starting when the core last went idle; the packet is
+            // noticed by the first iteration at or after its
+            // host-memory visibility.
             DriverPattern::DpdkPoll | DriverPattern::AfXdp => {
-                // The poll loop runs on a fixed-cost iteration grid
-                // starting when the core last went idle; the packet is
-                // noticed by the first iteration at or after its
-                // host-memory visibility.
-                let base = self.next_poll.max(self.cpu_free);
-                poll_tick_at_or_after(base, self.cfg.poll_iter, first.hw)
+                self.rx.next_poll_tick(self.cfg.poll_iter)
             }
             DriverPattern::KernelIrq | DriverPattern::IoUring => {
+                let first = self.rx.pending.front()?;
                 let frames = self.cfg.irq_coalesce_frames as usize;
-                if self.pending.len() >= frames {
-                    self.pending[frames - 1].hw
-                } else {
-                    first.hw + SimTime::from_us(self.cfg.irq_coalesce_usecs as u64)
-                }
+                Some(match self.rx.pending.get(frames - 1) {
+                    Some(p) => p.hw,
+                    None => first.hw + SimTime::from_us(self.cfg.irq_coalesce_usecs as u64),
+                })
             }
-        })
+        }
     }
 
     /// Runs one notification + processing round triggered at `t`.
     fn service(&mut self, t: SimTime) {
-        self.apply_refills(t);
+        self.rx.apply_refills(t);
         let aware = match self.pattern {
             DriverPattern::DpdkPoll | DriverPattern::AfXdp => {
-                // Count iterations that found nothing between the last
-                // processing end and this hit (O(1), not simulated
-                // one-by-one).
-                let base = self.next_poll.max(self.cpu_free);
-                if t > base {
-                    let gap = t.saturating_sub(base).as_ns();
-                    self.counters.empty_polls += gap / self.cfg.poll_iter.as_ns().max(1);
-                }
+                self.counters.empty_polls += self.rx.empty_polls_before(t, self.cfg.poll_iter);
                 self.counters.polls += 1;
                 t + self.cfg.poll_iter
             }
             DriverPattern::KernelIrq | DriverPattern::IoUring => {
                 let frames = self.cfg.irq_coalesce_frames as usize;
-                if self.pending.len() >= frames && self.pending[frames - 1].hw <= t {
+                if self.rx.pending.get(frames - 1).is_some_and(|p| p.hw <= t) {
                     self.counters.coalesce_frame_fires += 1;
                 } else {
                     self.counters.coalesce_timer_fires += 1;
@@ -629,20 +460,20 @@ impl DriverSim {
                 self.counters.irqs += 1;
                 // The MSI is a real 4 B posted write through the same
                 // issue port and credit gates as the data path.
-                let msi_at = self.platform.msi(t, &self.desc_buf, MSI_VECTOR_OFF);
+                let msi_at = self.rx.platform.msi(t, &self.rx.desc_buf, MSI_VECTOR_OFF);
                 let mut wake = msi_at + self.cfg.irq_entry;
                 if self.cfg.driver_reads_registers && self.pattern == DriverPattern::KernelIrq {
                     // Legacy drivers re-read the ring head register
                     // before trusting write-backs: one PIO round trip
                     // on the critical path (the paper's §4 LAT_RD
                     // argument for why drivers should not do this).
-                    wake = self.platform.pio_read(wake, 4);
+                    wake = self.rx.platform.pio_read(wake, 4);
                     self.counters.pio_reads += 1;
                 }
                 wake
             }
         };
-        let start = aware.max(self.cpu_free);
+        let start = aware.max(self.rx.cpu_free);
 
         // Collect the batch: everything visible by the time the
         // handler actually runs, bounded by the burst size for the
@@ -651,11 +482,11 @@ impl DriverSim {
             DriverPattern::DpdkPoll | DriverPattern::AfXdp => self.cfg.burst as usize,
             DriverPattern::KernelIrq | DriverPattern::IoUring => usize::MAX,
         };
-        let mut batch = Vec::with_capacity(limit.min(self.pending.len()));
+        let mut batch = Vec::with_capacity(limit.min(self.rx.pending.len()));
         while batch.len() < limit {
-            match self.pending.front() {
-                Some(p) if p.hw <= start => batch.push(self.pending.pop_front().unwrap()),
-                _ => break,
+            match self.rx.reap(start) {
+                Some(p) => batch.push(p),
+                None => break,
             }
         }
         debug_assert!(!batch.is_empty(), "service round found nothing");
@@ -669,7 +500,6 @@ impl DriverSim {
         let mut t = aware;
         let mut tx_queue: Vec<TxItem> = Vec::with_capacity(batch.len());
         for p in batch {
-            self.cq_ring.consume_into(1, &mut self.slot_scratch);
             if self.pattern == DriverPattern::IoUring {
                 self.counters.cqes += 1;
             }
@@ -694,7 +524,7 @@ impl DriverSim {
             let copy = if self.pattern == DriverPattern::KernelIrq {
                 // The socket path copies the payload to userspace and
                 // back; the three zero-copy patterns skip this.
-                SimTime::from_ns_f64(cfg.copy_ns_per_byte * self.run_pkt_size as f64 * 2.0)
+                SimTime::from_ns_f64(cfg.copy_ns_per_byte * p.size as f64 * 2.0)
             } else {
                 SimTime::ZERO
             };
@@ -707,27 +537,16 @@ impl DriverSim {
                 app_done,
             });
         }
-        self.cpu_free = t;
-        self.next_poll = t;
+        self.rx.cpu_free = t;
 
         // Schedule (not issue) the device interactions this round
-        // decided on; `advance_driver` issues them when the clock gets
-        // there, in order with the arrival stream.
+        // decided on; `advance` issues them when the clock gets there,
+        // in order with the arrival stream.
         if !tx_queue.is_empty() {
-            self.schedule(self.cpu_free, Deferred::TxDoorbell { items: tx_queue });
+            self.rx
+                .schedule(t, Deferred::TxDoorbell { items: tx_queue });
         }
-        // Buffers return to the free list only after the driver has
-        // processed their packets (the frame is in use until then) —
-        // this is what bounds the completion queue in closed loop.
-        self.consumed_since_refill += batch.len() as u32;
-        // Cap the threshold at half the ring so small test rings still
-        // refill before the free list can run dry in closed loop.
-        let threshold = self.cfg.refill_batch.min(self.cfg.ring_size / 2).max(1);
-        if self.consumed_since_refill >= threshold {
-            let n = self.consumed_since_refill;
-            self.consumed_since_refill = 0;
-            self.schedule(self.cpu_free, Deferred::RefillPost { n });
-        }
+        self.rx.recycle(t, batch.len() as u32);
     }
 
     /// Issues one scheduled interaction phase at its event time `at`.
@@ -736,18 +555,19 @@ impl DriverSim {
     /// (doorbell → fetch → payload → write-back) are expressed by
     /// scheduling the follow-on phase at this phase's completion time.
     fn issue(&mut self, at: SimTime, action: Deferred) {
+        let rx = &mut self.rx;
         match action {
             Deferred::TxDoorbell { items } => {
                 self.counters.tx_batches += 1;
                 self.tx_ring
-                    .produce_into(items.len() as u32, &mut self.slot_scratch);
-                debug_assert_eq!(self.slot_scratch.len(), items.len(), "TX ring full");
+                    .produce_into(items.len() as u32, &mut rx.slot_scratch);
+                debug_assert_eq!(rx.slot_scratch.len(), items.len(), "TX ring full");
                 self.counters.doorbells += 1;
-                let db_arr = self.platform.pio_write(at, 4);
+                let db_arr = rx.platform.pio_write(at, 4);
                 self.tx_ring
-                    .dma_ranges_into(&self.slot_scratch, &mut self.range_scratch);
-                let ranges = self.range_scratch.clone();
-                self.schedule(
+                    .dma_ranges_into(&rx.slot_scratch, &mut rx.range_scratch);
+                let ranges = rx.range_scratch.clone();
+                rx.schedule(
                     db_arr,
                     Deferred::TxDescFetch {
                         db_arr,
@@ -761,19 +581,10 @@ impl DriverSim {
                 ranges,
                 items,
             } => {
-                let mut desc_done = at;
-                for (off, len) in ranges {
-                    let r =
-                        self.platform
-                            .dma_read(at, &self.desc_buf, off, len, DmaPath::DmaEngine);
-                    desc_done = desc_done.max(r.done);
-                }
-                self.schedule(desc_done, Deferred::TxPayload { db_arr, items });
+                let desc_done = rx.fetch_descriptors(at, &ranges);
+                rx.schedule(desc_done, Deferred::TxPayload { db_arr, items });
             }
             Deferred::TxPayload { db_arr, items } => {
-                let tx_base = self.pkt_buf.len() / 2;
-                let tx_slots = (self.pkt_buf.len() / 2 / 2048) as u32;
-                let pkt_size = self.run_pkt_size;
                 let n = items.len() as u32;
                 let mut last_done = at;
                 for TxItem {
@@ -783,16 +594,13 @@ impl DriverSim {
                     app_done,
                 } in items
                 {
-                    let tx_off = tx_base + (p.idx % tx_slots) as u64 * 2048;
-                    let r = self.platform.dma_read(
-                        at,
-                        &self.pkt_buf,
-                        tx_off,
-                        pkt_size,
-                        DmaPath::DmaEngine,
-                    );
+                    // TX slots follow the RX slots.
+                    let tx_off = u64::from(RX_SLOTS + p.idx % RX_SLOTS) * SLOT_BYTES;
+                    let r =
+                        rx.platform
+                            .dma_read(at, &rx.pkt_buf, tx_off, p.size, DmaPath::DmaEngine);
                     last_done = last_done.max(r.done);
-                    let mut sample = DriverStageSample::default();
+                    let mut sample = StageSample::default();
                     sample
                         .set(DriverStage::RxDma, diff_ns(p.hw, p.arr))
                         .set(DriverStage::Notify, diff_ns(aware, p.hw))
@@ -802,99 +610,26 @@ impl DriverSim {
                         .set(DriverStage::TxDma, diff_ns(r.done, db_arr));
                     self.stages.record(&sample);
                     self.counters.delivered += 1;
-                    self.done_max = self.done_max.max(r.done);
+                    rx.done_max = rx.done_max.max(r.done);
                 }
                 // One TX completion write-back per batch (write-back
                 // coalescing, one of §5's descriptor optimisations).
-                self.schedule(last_done, Deferred::TxWriteback { n });
+                rx.schedule(last_done, Deferred::TxWriteback { n });
             }
             Deferred::TxWriteback { n } => {
-                let wb = self.platform.dma_write(
+                let wb = rx.platform.dma_write(
                     at,
-                    &self.desc_buf,
+                    &rx.desc_buf,
                     TXWB_OFF,
                     DESC_ENTRY,
                     DmaPath::DmaEngine,
                 );
-                self.done_max = self.done_max.max(wb.absorbed);
-                self.tx_ring.consume_into(n, &mut self.slot_scratch);
+                rx.done_max = rx.done_max.max(wb.absorbed);
+                self.tx_ring.consume_into(n, &mut rx.slot_scratch);
             }
-            Deferred::RefillPost { n } => {
-                self.counters.refills += 1;
-                self.rx_ring.produce_into(n, &mut self.slot_scratch);
-                debug_assert_eq!(self.slot_scratch.len() as u32, n, "freelist accounting");
-                let fetch_at = match self.pattern {
-                    DriverPattern::KernelIrq | DriverPattern::DpdkPoll => {
-                        // Tail-pointer doorbell: the device learns
-                        // immediately.
-                        self.counters.doorbells += 1;
-                        self.platform.pio_write(at, 4)
-                    }
-                    DriverPattern::AfXdp => {
-                        // Need-wakeup mode: a doorbell only when the
-                        // device drained the fill ring; otherwise the
-                        // device's fill poller picks the entries up on
-                        // its next pass.
-                        if self.buffers_avail == 0 && self.refill_events.is_empty() {
-                            self.counters.wakeups += 1;
-                            self.platform.pio_write(at, 4)
-                        } else {
-                            at + FILL_POLL
-                        }
-                    }
-                    DriverPattern::IoUring => at + FILL_POLL,
-                };
-                self.rx_ring
-                    .dma_ranges_into(&self.slot_scratch, &mut self.range_scratch);
-                let ranges = self.range_scratch.clone();
-                self.schedule(fetch_at, Deferred::RefillFetch { ranges, n });
-            }
-            Deferred::RefillFetch { ranges, n } => {
-                let mut done = at;
-                for (off, len) in ranges {
-                    let r =
-                        self.platform
-                            .dma_read(at, &self.desc_buf, off, len, DmaPath::DmaEngine);
-                    done = done.max(r.done);
-                }
-                self.refill_events.push_back((done, n));
-            }
+            Deferred::Refill(r) => rx.issue_refill(at, r, &mut self.counters),
         }
     }
-
-    /// Credits refill batches whose descriptor fetch completed by
-    /// `now` back to the device. Fetch completions are not guaranteed
-    /// monotone across batches, so this scans the whole (short) queue.
-    fn apply_refills(&mut self, now: SimTime) {
-        let mut credited = 0u32;
-        self.refill_events.retain(|&(t, n)| {
-            if t <= now {
-                credited += n;
-                false
-            } else {
-                true
-            }
-        });
-        self.buffers_avail += credited;
-    }
-}
-
-/// First tick of a `step`-spaced grid anchored at `base` that is at or
-/// after `target`.
-fn poll_tick_at_or_after(base: SimTime, step: SimTime, target: SimTime) -> SimTime {
-    if base >= target {
-        return base;
-    }
-    let gap = target.saturating_sub(base).as_ps();
-    let step_ps = step.as_ps().max(1);
-    let k = gap.div_ceil(step_ps);
-    base.saturating_add(SimTime::from_ps(k.saturating_mul(step_ps)))
-}
-
-/// Non-negative difference in nanoseconds. Stage boundaries are
-/// monotone by construction, so the clamp only guards rounding.
-fn diff_ns(later: SimTime, earlier: SimTime) -> f64 {
-    later.saturating_sub(earlier).as_ns_f64()
 }
 
 #[cfg(test)]
@@ -925,7 +660,7 @@ mod tests {
             let mut s = sim(pattern, DriverConfig::default());
             s.run(256, 1_000);
             let grand = s.stages.grand_total_ns();
-            let per_stage: f64 = pcie_telemetry::DRIVER_STAGES
+            let per_stage: f64 = <DriverStage as pcie_telemetry::StageSet>::ALL
                 .iter()
                 .map(|&st| s.stages.total_ns(st))
                 .sum();
@@ -934,7 +669,7 @@ mod tests {
                 "{}: stages must sum to the grand total",
                 pattern.name()
             );
-            assert_eq!(s.stages.packets(), 1_000);
+            assert_eq!(s.stages.count(), 1_000);
         }
     }
 

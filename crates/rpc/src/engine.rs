@@ -27,7 +27,7 @@ use pcie_nic::traffic::Workload;
 use pcie_par::Pool;
 use pcie_sim::hash::Fnv1a;
 use pcie_sim::{SimTime, SplitMix64};
-use pcie_telemetry::{CounterGroup, RpcStageStats, Snapshot};
+use pcie_telemetry::{CounterGroup, RpcStage, Snapshot, StageBreakdown};
 
 /// Stream-family salts for the engine's RNG consumers (see
 /// `SplitMix64::salted`); distinct from the fault, driver and flows
@@ -220,7 +220,7 @@ pub struct RpcRunReport {
     pub elapsed: SimTime,
     /// Whole-run stage attribution: per-queue accumulators merged in
     /// queue order, so stage means and quantiles are exact.
-    pub stages: RpcStageStats,
+    pub stages: StageBreakdown<RpcStage>,
 }
 
 impl RpcRunReport {
@@ -357,7 +357,7 @@ impl RpcRunReport {
         h.eat_all([
             self.window.as_ps(),
             self.elapsed.as_ps(),
-            self.stages.rpcs(),
+            self.stages.count(),
             e2e.count(),
             e2e.overflow(),
             e2e.total_ns().to_bits(),

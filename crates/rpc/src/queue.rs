@@ -26,8 +26,9 @@
 use crate::accel::AccelModel;
 use pcie_device::MultiPlatform;
 use pcie_link::Direction;
+use pcie_sim::time::diff_ns;
 use pcie_sim::{EventQueue, SimTime, Timeline};
-use pcie_telemetry::{CounterGroup, LatencyHistogram, RpcStage, RpcStageSample, RpcStageStats};
+use pcie_telemetry::{CounterGroup, LatencyHistogram, RpcStage, StageBreakdown, StageSample};
 use pcie_topo::PortCounters;
 
 /// Switch port of the NIC device.
@@ -160,7 +161,7 @@ pub struct RpcQueueReport {
     /// Event counters.
     pub counters: RpcCounters,
     /// Per-stage latency attribution for completed RPCs.
-    pub stages: RpcStageStats,
+    pub stages: StageBreakdown<RpcStage>,
     /// Virtual time from first arrival to last response on the wire.
     pub elapsed: SimTime,
     /// High-water mark of in-flight RPCs (ring occupancy).
@@ -248,7 +249,7 @@ pub struct RpcQueueSim {
     inflight: u32,
     inflight_peak: u32,
     counters: RpcCounters,
-    stages: RpcStageStats,
+    stages: StageBreakdown<RpcStage>,
     done_max: SimTime,
     req_seq: u64,
     resp_seq: u64,
@@ -282,7 +283,7 @@ impl RpcQueueSim {
             inflight: 0,
             inflight_peak: 0,
             counters: RpcCounters::default(),
-            stages: RpcStageStats::new(),
+            stages: StageBreakdown::new(),
             done_max: SimTime::ZERO,
             req_seq: 0,
             resp_seq: 0,
@@ -422,7 +423,7 @@ impl RpcQueueSim {
                 let t5 = at;
                 let t6 = self.egress.reserve(t5, self.nic.wire_time(rpc.resp)).end
                     + self.nic.egress_base;
-                let mut sample = RpcStageSample::default();
+                let mut sample = StageSample::default();
                 sample
                     .set(RpcStage::IngressDma, diff_ns(rpc.t1, rpc.t0))
                     .set(RpcStage::Steer, diff_ns(rpc.t2, rpc.t1))
@@ -442,16 +443,11 @@ impl RpcQueueSim {
     }
 }
 
-/// Non-negative difference in nanoseconds.
-fn diff_ns(later: SimTime, earlier: SimTime) -> f64 {
-    later.saturating_sub(earlier).as_ns_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{Datapath, RpcEngineConfig};
-    use pcie_telemetry::RPC_STAGES;
+    use pcie_telemetry::StageSet;
 
     fn sim(datapath: Datapath) -> RpcQueueSim {
         let mut cfg = RpcEngineConfig::default();
@@ -504,12 +500,12 @@ mod tests {
     fn stage_sums_telescope() {
         let r = sim(Datapath::HostBounce).run(&paced(2_000, 300, 256, 128));
         let grand = r.stages.grand_total_ns();
-        let per_stage: f64 = RPC_STAGES.iter().map(|&s| r.stages.total_ns(s)).sum();
+        let per_stage: f64 = RpcStage::ALL.iter().map(|&s| r.stages.total_ns(s)).sum();
         assert!((grand - per_stage).abs() < 1e-6 * grand.max(1.0));
         assert!((grand - r.stages.end_to_end().total_ns()).abs() < 1e-6 * grand.max(1.0));
-        assert_eq!(r.stages.rpcs(), 2_000);
+        assert_eq!(r.stages.count(), 2_000);
         // Every stage contributes on the bounce path.
-        for s in RPC_STAGES {
+        for &s in RpcStage::ALL {
             assert!(r.stages.total_ns(s) > 0.0, "stage {} empty", s.name());
         }
     }

@@ -211,6 +211,14 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// Non-negative `later - earlier` in nanoseconds: the duration of one
+/// pipeline stage. Stage boundaries are monotone by construction, so
+/// the clamp only guards rounding.
+#[inline]
+pub fn diff_ns(later: SimTime, earlier: SimTime) -> f64 {
+    later.saturating_sub(earlier).as_ns_f64()
+}
+
 /// Converts a byte count and a rate in bits/second into the time taken
 /// to serialise those bytes, rounded up to whole picoseconds.
 ///

@@ -13,23 +13,19 @@
 //! * [`LatencyHistogram`] — fixed-width-bucket latency histograms with
 //!   a saturating overflow bucket, cheap enough to update per
 //!   transaction;
-//! * [`Stage`] / [`StageStats`] — the per-DMA critical-path breakdown
-//!   (`issue → tag-alloc → request-wire → host → completion-wire →
-//!   device-completion`) whose stage contributions sum exactly to the
-//!   end-to-end latency, the simulator's answer to "*where* did the
-//!   400 ns go?" (paper §5–6, Figure 6 discussion);
-//! * [`DriverStage`] / [`DriverStageStats`] — the per-packet driver
-//!   pipeline above the DMA one (`rx_dma → notify → rx_sw → app →
-//!   tx_post → tx_dma`), used by the `pcie-drivers` interaction
-//!   patterns; the six stage contributions likewise sum exactly to the
-//!   packet's end-to-end latency, and its `rx_dma`/`tx_dma` stages
-//!   nest the DMA-level breakdown;
-//! * [`RpcStage`] / [`RpcStageStats`] — the per-RPC fabric pipeline
-//!   used by `pcie-rpc` (`ingress_dma → steer → fabric_req →
-//!   accel_service → fabric_resp → egress_dma`), spanning two devices
-//!   and the switch between them; the stage contributions again sum
-//!   exactly to the end-to-end latency, and mergeable accumulators let
-//!   per-queue workers aggregate into exact whole-run quantiles;
+//! * [`StageBreakdown`] — per-item stage attribution whose stage
+//!   contributions sum exactly to the end-to-end latency, the
+//!   simulator's answer to "*where* did the 400 ns go?" (paper §5–6,
+//!   Figure 6 discussion). One generic accumulator serves three stage
+//!   sets ([`StageSet`]): the per-DMA critical path [`Stage`] (`issue →
+//!   tag_alloc → request_wire → host → completion_wire → replay →
+//!   device_completion`), the per-packet driver path [`DriverStage`]
+//!   used by `pcie-drivers` and `pcie-flows` (`rx_dma → notify → rx_sw
+//!   → app → tx_post → tx_dma`, whose DMA stages nest the [`Stage`]
+//!   breakdown), and the per-RPC fabric path [`RpcStage`] used by
+//!   `pcie-rpc` (`ingress_dma → steer → fabric_req → accel_service →
+//!   fabric_resp → egress_dma`). Accumulators merge, so per-queue
+//!   workers aggregate into exact whole-run quantiles;
 //! * JSON and CSV export ([`Snapshot::to_json`], [`Snapshot::to_csv`])
 //!   with zero external dependencies, consumed by `repro_report`,
 //!   `pciebench_cli` and the figure binaries.
@@ -37,12 +33,13 @@
 //! ## Zero-cost-when-disabled contract
 //!
 //! Telemetry never sits on a hot path unconditionally. Layers hold an
-//! `Option<StageStats>`-style handle that is `None` unless explicitly
-//! enabled (`BenchSetup::with_telemetry`, `Platform::enable_telemetry`):
-//! disabled, the only cost is an untaken branch per DMA; the aggregate
-//! counters that were already maintained before this crate existed
-//! (wire counters, cache stats) remain always-on. Benchmarks therefore
-//! run at identical throughput with telemetry off.
+//! `Option<StageBreakdown<Stage>>`-style handle that is `None` unless
+//! explicitly enabled (`BenchSetup::with_telemetry`,
+//! `Platform::enable_telemetry`): disabled, the only cost is an
+//! untaken branch per DMA; the aggregate counters that were already
+//! maintained before this crate existed (wire counters, cache stats)
+//! remain always-on. Benchmarks therefore run at identical throughput
+//! with telemetry off.
 //!
 //! ```
 //! use pcie_telemetry::{CounterGroup, LatencyHistogram, Snapshot};
@@ -60,16 +57,12 @@
 #![warn(missing_docs)]
 
 pub mod counters;
-pub mod driver;
 pub mod hist;
 pub mod json;
-pub mod rpc;
 pub mod snapshot;
 pub mod stages;
 
 pub use counters::CounterGroup;
-pub use driver::{DriverStage, DriverStageSample, DriverStageStats, DRIVER_STAGES};
 pub use hist::LatencyHistogram;
-pub use rpc::{RpcStage, RpcStageSample, RpcStageStats, RPC_STAGES};
 pub use snapshot::{Snapshot, StageReport};
-pub use stages::{Stage, StageSample, StageStats};
+pub use stages::{DriverStage, RpcStage, Stage, StageBreakdown, StageSample, StageSet};

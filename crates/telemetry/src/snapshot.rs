@@ -2,13 +2,13 @@
 //!
 //! A [`Snapshot`] is the exported unit of telemetry: every component's
 //! [`CounterGroup`] plus (when stage attribution is enabled) a
-//! [`StageReport`] distilled from [`StageStats`]. `repro_report`,
+//! [`StageReport`] distilled from a [`StageBreakdown`]. `repro_report`,
 //! `pciebench_cli --telemetry` and the figure binaries serialise one
 //! snapshot per benchmark run.
 
 use crate::counters::CounterGroup;
 use crate::json::JsonWriter;
-use crate::stages::{StageStats, STAGES};
+use crate::stages::{StageBreakdown, StageSet};
 
 /// Per-stage summary embedded in a snapshot: one row per pipeline
 /// stage, plus the end-to-end aggregate.
@@ -31,9 +31,9 @@ pub struct StageReport {
 }
 
 impl StageReport {
-    /// Distils a report from accumulated [`StageStats`].
-    pub fn from_stats(stats: &StageStats) -> Self {
-        let rows = STAGES
+    /// Distils a report from an accumulated [`StageBreakdown`].
+    pub fn from_stats<S: StageSet>(stats: &StageBreakdown<S>) -> Self {
+        let rows = S::ALL
             .iter()
             .map(|&s| {
                 (
@@ -46,7 +46,7 @@ impl StageReport {
             .collect();
         StageReport {
             rows,
-            transactions: stats.transactions(),
+            transactions: stats.count(),
             end_to_end_mean_ns: stats.end_to_end().mean_ns(),
             end_to_end_total_ns: stats.end_to_end().total_ns(),
             end_to_end_buckets: stats.end_to_end().nonzero(),
@@ -194,7 +194,7 @@ mod tests {
         let mut g = CounterGroup::new("link.upstream");
         g.push("tlps", 3).push("tlp_bytes", 264);
         snap.add_group(g);
-        let mut stats = StageStats::new();
+        let mut stats = StageBreakdown::new();
         let mut s = StageSample::default();
         s.set(Stage::Issue, 5.0)
             .set(Stage::Host, 250.0)

@@ -404,7 +404,7 @@ fn rpc_stage_sums_telescope_to_end_to_end() {
     // the exported group.
     use pcie_bench_repro::par::Pool;
     use pcie_bench_repro::rpc::{Datapath, RpcEngine, RpcEngineConfig, RpcProfile};
-    use pcie_telemetry::RPC_STAGES;
+    use pcie_telemetry::{RpcStage, StageSet};
 
     for datapath in [Datapath::HostBypass, Datapath::HostBounce] {
         let cfg = RpcEngineConfig {
@@ -420,19 +420,19 @@ fn rpc_stage_sums_telescope_to_end_to_end() {
             "{}: stage sum {grand} must telescope to end-to-end {e2e}",
             datapath.name()
         );
-        assert_eq!(r.stages.rpcs(), r.completed());
+        assert_eq!(r.stages.count(), r.completed());
         assert_eq!(r.stages.end_to_end().count(), r.completed());
         // The exported group carries the same ledger.
         let snap = r.snapshot("telescoping");
         let g = snap.group("rpc.stages").expect("rpc.stages group");
-        let from_group: u64 = RPC_STAGES
+        let from_group: u64 = RpcStage::ALL
             .iter()
             .map(|s| g.get(&format!("{}_total_ns", s.name())).unwrap())
             .sum();
         // Each stage total is truncated to u64 on export, so the sum
         // may sit up to one count per stage below the float ledger.
         assert!(
-            (from_group as i64 - grand as i64).unsigned_abs() <= RPC_STAGES.len() as u64,
+            (from_group as i64 - grand as i64).unsigned_abs() <= RpcStage::ALL.len() as u64,
             "group stage sum {from_group} must track grand total {grand}"
         );
         assert_eq!(g.get("end_to_end_total_ns"), Some(e2e as u64));
