@@ -32,6 +32,11 @@
 //! data path. DESIGN.md §10 documents the state machines and every
 //! cost constant.
 //!
+//! The receive half of a queue — buffers, RX and completion rings,
+//! initial fill, per-packet device DMA, refills and the deferred-phase
+//! wheel — is the [`rx`] module's [`rx::RxCore`], which `pcie-flows`
+//! runs its RX-only queues on as well.
+//!
 //! ## Quickstart
 //!
 //! ```

@@ -14,18 +14,10 @@
 //! The caller keeps everything that differs: when its driver notices
 //! packets, what a service round costs, and what happens after
 //! receive (echo back out a TX ring, or terminate at the
-//! application). Its event loop is
-//!
-//! ```text
-//! while let Some(due) = rx.next_due(next_service_time, until) {
-//!     match due {
-//!         Due::Phase(at, phase) => issue(at, phase),  // RxCore::issue_refill for refills
-//!         Due::Service(t) => service(t),
-//!     }
-//! }
-//! ```
-//!
-//! so the shared code never branches on which caller it serves.
+//! application). Its event loop pops [`RxCore::next_due`] and either
+//! issues the phase (refills via [`RxCore::issue_refill`]) or runs its
+//! own service round, so the shared code never branches on which
+//! caller it serves.
 
 use pcie_device::{DmaPath, Platform};
 use pcie_host::buffer::BufferAllocator;
@@ -171,25 +163,25 @@ pub struct RxCore<P> {
     pub platform: Platform,
     /// Packet payload buffer: [`RX_SLOTS`] RX slots, then any caller
     /// region.
-    pub pkt_buf: HostBuffer,
+    pub(crate) pkt_buf: HostBuffer,
     /// Descriptor buffer: rings + MSI vector (see [`ring_offsets`]).
-    pub desc_buf: HostBuffer,
+    pub(crate) desc_buf: HostBuffer,
     /// RX free-list / fill ring (driver produces, device consumes).
-    pub rx_ring: DescriptorRing,
+    pub(crate) rx_ring: DescriptorRing,
     /// Completion ring (device produces, driver consumes).
-    pub cq_ring: DescriptorRing,
+    pub(crate) cq_ring: DescriptorRing,
     /// Packets visible in host memory awaiting the driver, in arrival
     /// order.
-    pub pending: VecDeque<Pending>,
+    pub(crate) pending: VecDeque<Pending>,
     /// When the driver core becomes free; a poll loop's iteration grid
     /// restarts here.
     pub cpu_free: SimTime,
     /// Latest completion of any device work.
     pub done_max: SimTime,
     /// Scratch for ring slot indices.
-    pub slot_scratch: Vec<u32>,
+    pub(crate) slot_scratch: Vec<u32>,
     /// Scratch for coalesced descriptor ranges.
-    pub range_scratch: Vec<(u64, u32)>,
+    pub(crate) range_scratch: Vec<(u64, u32)>,
     /// RX buffers the *device* currently holds (posted and fetched).
     buffers_avail: u32,
     /// Refill batches in flight: (device-visible time, buffer count).
@@ -260,6 +252,11 @@ impl<P: From<Refill>> RxCore<P> {
     /// RX buffers the device holds right now.
     pub fn buffers_avail(&self) -> u32 {
         self.buffers_avail
+    }
+
+    /// The RX free-list ring.
+    pub fn rx_ring(&self) -> &DescriptorRing {
+        &self.rx_ring
     }
 
     /// Schedules `phase` at `at` on the timing wheel.

@@ -236,7 +236,7 @@ impl FlowRunReport {
         let mut h = Fnv1a::default();
         for q in &self.queues {
             let c = &q.counters;
-            h.eat_all([
+            h.eat([
                 u64::from(q.queue),
                 c.offered,
                 c.delivered,
@@ -251,7 +251,7 @@ impl FlowRunReport {
                 q.elapsed.as_ps(),
             ]);
         }
-        h.eat_all([
+        h.eat([
             self.table.inserts,
             self.table.completions,
             self.table.packets,
@@ -263,8 +263,8 @@ impl FlowRunReport {
             self.e2e.overflow(),
             self.e2e.total_ns().to_bits(),
         ]);
-        h.eat_all(self.e2e.nonzero().into_iter().flat_map(|(s, c)| [s, c]));
-        h.eat_all(self.flows_per_queue.iter().copied());
+        h.eat(self.e2e.nonzero().into_iter().flat_map(|(s, c)| [s, c]));
+        h.eat(self.flows_per_queue.iter().copied());
         h.finish()
     }
 

@@ -16,9 +16,10 @@
 //!   paced and bursty arrival processes; fixed, uniform and
 //!   bounded-Pareto flow lengths; packet sizes via
 //!   `pcie_nic::Workload` (IMIX, Pareto, …);
-//! * [`queue`] — one RX queue as an open-loop, RX-terminating driver
-//!   simulation over a private `pcie-device` platform, descriptor
-//!   and completion rings, and telescoping stage telemetry;
+//! * [`queue`] — one RX queue as an open-loop driver simulation that
+//!   terminates at the application, over a private `pcie-device`
+//!   platform and the RX ring core `pcie_drivers::rx` shares with
+//!   `DriverSim`, with telescoping stage telemetry;
 //! * [`engine`] — steer → schedule → simulate → merge, fanned across
 //!   a `pcie-par` pool with bit-identical results at any pool width.
 //!

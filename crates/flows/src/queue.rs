@@ -290,7 +290,7 @@ impl QueueSim {
             queue: self.queue,
             counters: self.counters,
             elapsed: self.rx.done_max,
-            ring_peak: self.rx.rx_ring.max_used(),
+            ring_peak: self.rx.rx_ring().max_used(),
             stages: self.stages,
         }
     }
@@ -349,7 +349,6 @@ impl QueueSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcie_telemetry::StageSet;
     use pciebench::BenchSetup;
 
     fn platform() -> Platform {
@@ -401,9 +400,7 @@ mod tests {
     fn stage_sums_telescope_with_zero_tx() {
         let sim = QueueSim::new(0, ServiceModel::default(), platform());
         let r = sim.run(&paced(2_000, 300, 256));
-        let grand = r.stages.grand_total_ns();
-        let per_stage: f64 = DriverStage::ALL.iter().map(|&s| r.stages.total_ns(s)).sum();
-        assert!((grand - per_stage).abs() < 1e-6 * grand.max(1.0));
+        assert!(r.stages.telescopes());
         assert_eq!(r.stages.total_ns(DriverStage::TxPost), 0.0);
         assert_eq!(r.stages.total_ns(DriverStage::TxDma), 0.0);
         assert_eq!(r.stages.count(), 2_000);

@@ -320,7 +320,7 @@ impl RpcRunReport {
         let mut h = Fnv1a::default();
         for q in &self.queues {
             let c = &q.counters;
-            h.eat_all([
+            h.eat([
                 u64::from(q.queue),
                 c.offered,
                 c.completed,
@@ -339,7 +339,7 @@ impl RpcRunReport {
                 q.iommu_misses,
             ]);
             for p in &q.ports {
-                h.eat_all([
+                h.eat([
                     p.up_tlps,
                     p.up_bytes,
                     p.down_tlps,
@@ -354,7 +354,7 @@ impl RpcRunReport {
             }
         }
         let e2e = self.stages.end_to_end();
-        h.eat_all([
+        h.eat([
             self.window.as_ps(),
             self.elapsed.as_ps(),
             self.stages.count(),
@@ -362,8 +362,8 @@ impl RpcRunReport {
             e2e.overflow(),
             e2e.total_ns().to_bits(),
         ]);
-        h.eat_all(e2e.nonzero().into_iter().flat_map(|(s, c)| [s, c]));
-        h.eat_all(self.rpcs_per_queue.iter().copied());
+        h.eat(e2e.nonzero().into_iter().flat_map(|(s, c)| [s, c]));
+        h.eat(self.rpcs_per_queue.iter().copied());
         h.finish()
     }
 

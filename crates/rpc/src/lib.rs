@@ -23,13 +23,16 @@
 //!
 //! [`RpcQueueSim`] chains NIC → switch → accelerator → switch → NIC
 //! hops over the timing wheel with the deferred-issuance discipline
-//! `QueueSim`/`DriverSim` use (platform issue ports are FIFO
+//! of the RX ring core (`pcie_drivers::rx`) that `DriverSim` and
+//! `pcie_flows::QueueSim` share: platform issue ports are FIFO
 //! timelines, so every platform call is made at its event time, in
-//! event-time order), and [`RpcEngine`] fans queues out over a
-//! `pcie-par` pool with the same determinism discipline as `pcie-flows`: schedule generation is
-//! sequential, every queue owns a private platform, reports merge in
-//! queue order — `threads:1` and `threads:N` runs are bit-identical,
-//! pinned by [`RpcRunReport::fingerprint`].
+//! event-time order. It keeps its own loop because it has two devices
+//! and no descriptor rings. [`RpcEngine`] fans queues out over a
+//! `pcie-par` pool with the same determinism discipline as
+//! `pcie-flows`: schedule generation is sequential, every queue owns a
+//! private platform, reports merge in queue order — `threads:1` and
+//! `threads:N` runs are bit-identical, pinned by
+//! [`RpcRunReport::fingerprint`].
 //!
 //! Per-RPC latency telescopes over the six `rpc.stages` of
 //! [`pcie_telemetry::RpcStage`] (`ingress_dma → steer → fabric_req →

@@ -98,16 +98,10 @@ impl Default for Fnv1a {
 }
 
 impl Fnv1a {
-    /// Folds one word into the digest.
-    #[inline]
-    pub fn eat(&mut self, word: u64) {
-        self.0 = (self.0 ^ word).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    /// Folds every word in order.
-    pub fn eat_all(&mut self, words: impl IntoIterator<Item = u64>) {
+    /// Folds `words` into the digest, in order.
+    pub fn eat(&mut self, words: impl IntoIterator<Item = u64>) {
         for w in words {
-            self.eat(w);
+            self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
@@ -156,10 +150,10 @@ mod tests {
     #[test]
     fn fnv1a_is_pinned_and_order_sensitive() {
         let mut h = Fnv1a::default();
-        h.eat_all([1, 2]);
+        h.eat([1, 2]);
         assert_eq!(h.finish(), 0x082f_2407_b4e8_902a);
         let mut swapped = Fnv1a::default();
-        swapped.eat_all([2, 1]);
+        swapped.eat([2, 1]);
         assert_ne!(swapped.finish(), h.finish(), "word order matters");
     }
 

@@ -339,6 +339,14 @@ impl<S: StageSet> StageBreakdown<S> {
         self.totals_ns[..S::ALL.len()].iter().sum()
     }
 
+    /// Whether the stage totals reconcile with the end-to-end total
+    /// (equal up to summation order, 1e-6 relative): the telescoping
+    /// invariant every pipeline asserts.
+    pub fn telescopes(&self) -> bool {
+        let grand = self.grand_total_ns();
+        (grand - self.end_to_end.total_ns()).abs() <= 1e-6 * grand.max(1.0)
+    }
+
     /// The per-stage histogram.
     pub fn histogram(&self, stage: S) -> &LatencyHistogram {
         &self.per_stage[stage.index()]
@@ -425,14 +433,12 @@ mod tests {
                 assert_eq!(stats.histogram(stage).count(), 100, "{stage:?}");
             }
             let e2e = stats.end_to_end().total_ns();
-            assert!(
-                (stats.grand_total_ns() - e2e).abs() < 1e-6,
-                "{:?}: stage totals {} vs end-to-end {e2e}",
-                S::ALL,
-                stats.grand_total_ns(),
-            );
+            assert!((stats.grand_total_ns() - e2e).abs() < 1e-6, "{:?}", S::ALL);
+            assert!(stats.telescopes());
             assert!((stats.mean_ns(S::ALL[1]) - 15.0).abs() < 1e-9);
             assert!((stats.mean_ns(S::ALL[0]) - 249.5).abs() < 1e-9);
+            stats.totals_ns[0] += 1.0;
+            assert!(!stats.telescopes(), "a lost nanosecond must show");
         }
         for_each_set!(check);
     }
@@ -472,7 +478,10 @@ mod tests {
 
     #[test]
     fn telemetry_group_exports_totals() {
-        fn check<S: StageSet>(group: &str, count_key: &str) -> CounterGroup {
+        // Group, count key and key order are what snapshots export:
+        // the count, one `<name>_total_ns` per stage, the end-to-end
+        // total.
+        fn check<S: StageSet>(group: &str, count_key: &str) {
             let mut stats = StageBreakdown::<S>::new();
             let mut s = StageSample::default();
             s.set(S::ALL[0], 1000.0)
@@ -480,42 +489,18 @@ mod tests {
             stats.record(&s);
             let g = stats.telemetry_group();
             assert_eq!(g.component, group);
+            let keys: Vec<&str> = g.counters().iter().map(|&(k, _)| k).collect();
+            assert_eq!(keys[0], count_key);
+            assert_eq!(keys[1..=S::ALL.len()], *S::TOTAL_KEYS);
+            assert_eq!(keys[S::ALL.len() + 1..], ["end_to_end_total_ns"]);
             assert_eq!(g.get(count_key), Some(1));
             assert_eq!(g.get(S::TOTAL_KEYS[0]), Some(1000));
             assert_eq!(g.get(S::TOTAL_KEYS[S::ALL.len() - 1]), Some(2000));
             assert_eq!(g.get("end_to_end_total_ns"), Some(3000));
-            g
         }
         check::<Stage>("dma.stages", "transactions");
-        // The driver and RPC groups are exported in snapshots: pin
-        // their key order as well.
-        let keys = |g: CounterGroup| g.counters().iter().map(|&(k, _)| k).collect::<Vec<_>>();
-        assert_eq!(
-            keys(check::<DriverStage>("driver.stages", "packets")),
-            [
-                "packets",
-                "rx_dma_total_ns",
-                "notify_total_ns",
-                "rx_sw_total_ns",
-                "app_total_ns",
-                "tx_post_total_ns",
-                "tx_dma_total_ns",
-                "end_to_end_total_ns"
-            ]
-        );
-        assert_eq!(
-            keys(check::<RpcStage>("rpc.stages", "rpcs")),
-            [
-                "rpcs",
-                "ingress_dma_total_ns",
-                "steer_total_ns",
-                "fabric_req_total_ns",
-                "accel_service_total_ns",
-                "fabric_resp_total_ns",
-                "egress_dma_total_ns",
-                "end_to_end_total_ns"
-            ]
-        );
+        check::<DriverStage>("driver.stages", "packets");
+        check::<RpcStage>("rpc.stages", "rpcs");
     }
 
     #[test]

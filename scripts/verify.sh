@@ -38,8 +38,11 @@ sh scripts/golden.sh
 
 # The benchmark's workloads (BENCHMARK.json) as a correctness check:
 # each runs for one second and compares every cell with the committed
-# golden digests in simbench/golden/, the only byte-exactness check on
-# the DriverSim, FlowEngine and RpcEngine runs. Timings are not gated here.
+# golden digests in simbench/golden/. Together with golden.sh's
+# results/ext_{drivers,flows,rpc}_quick.txt pins (stage means and the
+# threads:1 vs threads:4 fingerprints), these are the byte-exactness
+# checks on the DriverSim, FlowEngine and RpcEngine runs. Timings are
+# not gated here.
 echo "==> simbench: every BENCHMARK.json workload against its golden digests"
 cargo build --release --quiet --manifest-path simbench/Cargo.toml
 WORKLOADS=$(awk '/"workloads"/ { w = 1 } w && /\]/ { w = 0 }

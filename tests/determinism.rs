@@ -88,14 +88,14 @@ fn multi_chunk_reads_match_pinned_fingerprint() {
         let len = rng.range(1, 2049) as u32;
         let r = platform.dma_read(want, &buf, off, len, DmaPath::DmaEngine);
         want = r.done + SimTime::from_ns(60);
-        h.eat_all([r.issued, r.done, r.absorbed].map(SimTime::as_ps));
+        h.eat([r.issued, r.done, r.absorbed].map(SimTime::as_ps));
     }
     for dir in [Direction::Upstream, Direction::Downstream] {
         let c = platform.link().counters(dir);
-        h.eat_all([c.tlps, c.tlp_bytes, c.payload_bytes, c.dllps, c.dllp_bytes]);
+        h.eat([c.tlps, c.tlp_bytes, c.payload_bytes, c.dllps, c.dllp_bytes]);
     }
     let m = platform.host.stats();
-    h.eat_all([
+    h.eat([
         m.read_tlps,
         m.write_tlps,
         m.bytes_read,
