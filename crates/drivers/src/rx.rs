@@ -190,6 +190,7 @@ pub struct RxCore<P> {
     consumed_since_refill: u32,
     /// Consumed buffers that trigger a refill batch.
     refill_threshold: u32,
+    /// How refills reach the device.
     doorbell: RefillDoorbell,
     /// Scheduled phases not yet issued to the platform, on the
     /// simulator's timing wheel: time-ordered with FIFO tie-breaking,
@@ -202,8 +203,8 @@ impl<P: From<Refill>> RxCore<P> {
     /// Allocates and warms the buffers over `platform`, builds the RX
     /// and completion rings, and posts the initial fill: the driver
     /// posts the whole free list before enabling RX — one tail write
-    /// (counted into `counters`), one coalesced descriptor fetch.
-    /// Traffic should start only after [`RxCore::done_max`].
+    /// (counted into `counters`), one coalesced descriptor fetch, whose
+    /// completion seeds [`RxCore::done_max`].
     pub fn new(platform: Platform, spec: RxSpec, counters: &mut impl RingCounters) -> Self {
         debug_assert!(spec.pkt_buf_bytes >= u64::from(RX_SLOTS) * SLOT_BYTES);
         let mut alloc = BufferAllocator::default_layout();
