@@ -25,9 +25,10 @@
 //! Env: `PCIE_BENCH_FLOWS` overrides the concurrent-flow target
 //! (default 1,250,000; quick 50,000); `PCIE_BENCH_QUEUES` overrides
 //! the RSS queue count (default 8; quick 4); `PCIE_BENCH_N` scales
-//! packet counts; `PCIE_BENCH_THREADS` sizes the worker pool.
+//! packet counts; `PCIE_BENCH_THREADS` sizes the worker pool. A flow
+//! or queue count that is not a positive integer exits with status 2.
 
-use pcie_bench_harness::{header, n};
+use pcie_bench_harness::{env_u32, header, n};
 use pcie_flows::{
     ArrivalProcess, FlowEngine, FlowEngineConfig, FlowLength, FlowRunReport, ServiceModel,
     TrafficProfile,
@@ -40,13 +41,6 @@ use pciebench::BenchSetup;
 /// Offered load points as fractions of aggregate service capacity.
 const SWEEP: &[f64] = &[0.4, 0.8, 1.2, 1.6, 2.0];
 const SWEEP_QUICK: &[f64] = &[0.5, 1.2, 2.0];
-
-fn env_u32(name: &str, default: u32) -> u32 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The bench's per-queue service model: ~2 Mpps per queue core so
 /// oversubscription is reachable with modest packet counts, and a

@@ -32,9 +32,10 @@
 //! Env: `PCIE_BENCH_RPC_PATH` selects the datapath when `--path` is
 //! absent; `PCIE_BENCH_QUEUES` overrides the RSS queue count (default
 //! 4); `PCIE_BENCH_N` scales RPC counts; `PCIE_BENCH_THREADS` sizes
-//! the worker pool.
+//! the worker pool. A queue count that is not a positive integer exits
+//! with status 2.
 
-use pcie_bench_harness::{header, n};
+use pcie_bench_harness::{env_u32, header, n};
 use pcie_par::Pool;
 use pcie_rpc::{Datapath, RpcEngine, RpcEngineConfig, RpcProfile, RpcRunReport};
 use pcie_telemetry::{RpcStage, StageSet};
@@ -42,13 +43,6 @@ use pcie_telemetry::{RpcStage, StageSet};
 /// Offered load points as fractions of aggregate accelerator capacity.
 const SWEEP: &[f64] = &[0.4, 0.8, 1.2, 1.6, 2.0];
 const SWEEP_QUICK: &[f64] = &[0.5, 1.2, 2.0];
-
-fn env_u32(name: &str, default: u32) -> u32 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The datapaths to run: `--path bypass|bounce|both` on the command
 /// line, else `PCIE_BENCH_RPC_PATH`, else both (the headline is the

@@ -44,6 +44,32 @@ pub fn n(base: usize) -> usize {
     ((base as f64 * scale()) as usize).max(16)
 }
 
+/// Parses the positive integer knob `name`, whose environment value is
+/// `value` (`None` if unset): unset gives `default`; a value that does
+/// not parse as a `u32`, or is 0, is an error naming the knob and the
+/// value.
+pub fn parse_knob_u32(name: &str, value: Option<&str>, default: u32) -> Result<u32, String> {
+    match value.map(str::parse::<u32>) {
+        None => Ok(default),
+        Some(Ok(v)) if v > 0 => Ok(v),
+        Some(_) => Err(format!(
+            "{name}={:?}: expected a positive integer",
+            value.unwrap_or_default()
+        )),
+    }
+}
+
+/// The positive integer knob `name` from the environment, or `default`
+/// when unset. A bad value (see [`parse_knob_u32`]) prints an error and
+/// exits with status 2.
+pub fn env_u32(name: &str, default: u32) -> u32 {
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_knob_u32(name, value.as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
 /// The standard transfer-size grid of Figure 4 (64 B – 2048 B with ±1 B
 /// probes).
 pub fn fig4_sizes() -> Vec<u32> {
@@ -148,6 +174,17 @@ mod tests {
     fn scaled_counts_bounded_below() {
         assert!(n(0) >= 16);
         assert_eq!(n(1000), 1000);
+    }
+
+    #[test]
+    fn knob_parse_accepts_positive_and_rejects_the_rest() {
+        assert_eq!(parse_knob_u32("K", None, 7), Ok(7));
+        assert_eq!(parse_knob_u32("K", Some("12"), 7), Ok(12));
+        for bad in ["abc", "0", "", "-3", "4.5", "99999999999"] {
+            let e = parse_knob_u32("PCIE_BENCH_FLOWS", Some(bad), 7).unwrap_err();
+            assert!(e.contains("PCIE_BENCH_FLOWS"), "{e}");
+            assert!(e.contains(&format!("{bad:?}")), "{e}");
+        }
     }
 
     #[test]

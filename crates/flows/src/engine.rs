@@ -358,6 +358,9 @@ impl FlowEngine {
         let mut table = FlowTable::with_capacity(self.profile.flows as usize);
         let mut flows_per_queue = vec![0u64; nq];
         let mut len_rng = SplitMix64::salted(seed, salt::FLOW_LEN);
+        // Distribution constants once per run, not once per draw.
+        let flow_length = self.profile.flow_length.sampler();
+        let next_size = self.profile.sizes.sampler();
         let mut next_ordinal = 0u64;
         let insert_flow = |table: &mut FlowTable,
                            flows_per_queue: &mut Vec<u64>,
@@ -368,7 +371,7 @@ impl FlowEngine {
             let mut key_rng = SplitMix64::stream(seed, salt::FLOW_KEY, ordinal);
             let key = FlowKey::from_rng(&mut key_rng);
             let (_, queue) = self.rss.steer(&key);
-            let len = self.profile.flow_length.sample(len_rng);
+            let len = flow_length(len_rng);
             table
                 .insert(key, queue, len)
                 .expect("table sized to the concurrency target");
@@ -395,11 +398,11 @@ impl FlowEngine {
         for _ in 0..self.profile.packets {
             let at = arrivals.next_arrival();
             window = at;
-            let slot = table.pick(&mut pick_rng).expect("table never empties");
-            let size = self.profile.sizes.next_size(&mut size_rng);
-            let queue = table.queue(slot);
+            let id = table.pick(&mut pick_rng).expect("table never empties");
+            let size = next_size(&mut size_rng);
+            let queue = table.queue(id);
             sched[usize::from(queue)].push(QueuedPacket { at, size });
-            if table.note_packet(slot) {
+            if table.note_packet(id) {
                 insert_flow(&mut table, &mut flows_per_queue, &mut len_rng, next_ordinal);
                 next_ordinal += 1;
             }

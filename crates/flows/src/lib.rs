@@ -8,10 +8,11 @@
 //!
 //! * [`rss`] — Toeplitz receive-side scaling: the Microsoft
 //!   verification key (with its published test vectors), the
-//!   symmetric `0x6d5a` key, a 128-entry indirection table;
-//! * [`table`] — a slab-backed flow table holding 10⁵–10⁷ concurrent
-//!   flows with O(1) insert/sample/remove and zero per-packet
-//!   allocation;
+//!   symmetric `0x6d5a` key, a 128-entry indirection table, and a
+//!   per-key byte-lookup table that hashes a 4-tuple in 12 lookups;
+//! * [`table`] — a dense flow table (20 B per flow) holding 10⁵–10⁷
+//!   concurrent flows with O(1) insert/sample/remove and zero
+//!   per-packet allocation;
 //! * [`profile`] — declarative traffic profiles: open-loop Poisson,
 //!   paced and bursty arrival processes; fixed, uniform and
 //!   bounded-Pareto flow lengths; packet sizes via

@@ -153,28 +153,32 @@ pub enum FlowLength {
 }
 
 impl FlowLength {
+    /// The same distribution as a packet-size [`Workload`]: every
+    /// draw and the mean go through its sampler, so a flow length and
+    /// a packet size drawn from one distribution agree bit for bit.
+    fn as_workload(&self) -> Workload {
+        match *self {
+            FlowLength::Fixed(n) => Workload::Fixed(n),
+            FlowLength::Uniform { min, max } => Workload::Uniform { min, max },
+            FlowLength::BoundedPareto { min, max, alpha } => Workload::Pareto { min, max, alpha },
+        }
+    }
+
     /// Draws the next flow's packet count.
     pub fn sample(&self, rng: &mut SplitMix64) -> u32 {
-        match *self {
-            FlowLength::Fixed(n) => n,
-            FlowLength::Uniform { min, max } => {
-                rng.range(u64::from(min), u64::from(max) + 1) as u32
-            }
-            FlowLength::BoundedPareto { min, max, alpha } => {
-                Workload::Pareto { min, max, alpha }.next_size(rng)
-            }
-        }
+        self.as_workload().next_size(rng)
+    }
+
+    /// A draw function equal to [`FlowLength::sample`] draw for draw,
+    /// with the distribution's constants computed once (see
+    /// [`Workload::sampler`]).
+    pub fn sampler(&self) -> impl Fn(&mut SplitMix64) -> u32 {
+        self.as_workload().sampler()
     }
 
     /// Mean flow length (analytic).
     pub fn mean(&self) -> f64 {
-        match *self {
-            FlowLength::Fixed(n) => f64::from(n),
-            FlowLength::Uniform { min, max } => (f64::from(min) + f64::from(max)) / 2.0,
-            FlowLength::BoundedPareto { min, max, alpha } => {
-                Workload::Pareto { min, max, alpha }.mean_size()
-            }
-        }
+        self.as_workload().mean_size()
     }
 
     /// Checks the parameters are usable.

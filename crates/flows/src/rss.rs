@@ -9,8 +9,16 @@
 //! bit. Steering is therefore per-flow sticky (same 4-tuple, same
 //! queue) and, with the right key, symmetric (both directions of a
 //! connection land on the same queue).
+//!
+//! [`toeplitz_hash`] is the bit-serial definition from the
+//! specification. [`Rss`] hashes with a per-key lookup table derived
+//! from it: by linearity the hash of the 12-byte input is the XOR of
+//! each byte's contribution, so one 256-entry row per input byte
+//! (12 KiB per key) turns 96 data-dependent bit steps into 12
+//! lookups.
 
 use pcie_sim::SplitMix64;
+use std::fmt;
 
 /// Number of entries in the RSS indirection table (the low 7 hash
 /// bits select an entry, as on most hardware).
@@ -144,11 +152,41 @@ pub fn toeplitz_hash(key: &RssKey, data: &[u8]) -> u32 {
     hash
 }
 
+/// Bytes of the IPv4 4-tuple hash input ([`FlowKey::rss_input`]).
+const INPUT_BYTES: usize = 12;
+
+/// Row `i`, entry `v`: the Toeplitz hash of an input that is zero
+/// except for byte `i`, which is `v`.
+type ByteHashes = [[u32; 256]; INPUT_BYTES];
+
+/// Builds the per-byte hash table of `key`. The hash is linear over
+/// GF(2) — `hash(a ^ b) == hash(a) ^ hash(b)` — so an entry is the
+/// XOR of its lowest set bit's entry and the entry of the remaining
+/// bits, and only the 96 single-bit entries call [`toeplitz_hash`].
+fn byte_hashes(key: &RssKey) -> Box<ByteHashes> {
+    let mut rows = Box::new([[0u32; 256]; INPUT_BYTES]);
+    for (i, row) in rows.iter_mut().enumerate() {
+        for v in 1..256usize {
+            let low = v & v.wrapping_neg();
+            row[v] = if low == v {
+                let mut input = [0u8; INPUT_BYTES];
+                input[i] = v as u8;
+                toeplitz_hash(key, &input)
+            } else {
+                row[low] ^ row[v ^ low]
+            };
+        }
+    }
+    rows
+}
+
 /// The RSS steering function of one multi-queue NIC: Toeplitz key +
 /// indirection table mapping hash low bits to RX queue numbers.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Rss {
     key: RssKey,
+    /// The key's per-byte hash table (see [`byte_hashes`]).
+    hashes: Box<ByteHashes>,
     /// [`INDIRECTION_ENTRIES`] queue numbers, indexed by the hash's
     /// low 7 bits.
     table: Vec<u16>,
@@ -168,7 +206,12 @@ impl Rss {
         let table = (0..INDIRECTION_ENTRIES)
             .map(|i| (i as u32 % queues) as u16)
             .collect();
-        Rss { key, table, queues }
+        Rss {
+            hashes: byte_hashes(&key),
+            key,
+            table,
+            queues,
+        }
     }
 
     /// Number of RX queues steered to.
@@ -176,9 +219,14 @@ impl Rss {
         self.queues
     }
 
-    /// The Toeplitz hash of `flow`'s 4-tuple.
+    /// The Toeplitz hash of `flow`'s 4-tuple: equal to
+    /// [`toeplitz_hash`] of [`FlowKey::rss_input`], computed as 12
+    /// table lookups.
     pub fn hash(&self, flow: &FlowKey) -> u32 {
-        toeplitz_hash(&self.key, &flow.rss_input())
+        flow.rss_input()
+            .iter()
+            .zip(self.hashes.iter())
+            .fold(0, |h, (&b, row)| h ^ row[usize::from(b)])
     }
 
     /// The queue a hash value steers to (indirection-table lookup on
@@ -191,6 +239,17 @@ impl Rss {
     pub fn steer(&self, flow: &FlowKey) -> (u32, u16) {
         let h = self.hash(flow);
         (h, self.queue_for_hash(h))
+    }
+}
+
+impl fmt::Debug for Rss {
+    // Leaves out the 3072-entry hash table, a function of `key`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Rss")
+            .field("key", &self.key)
+            .field("table", &self.table)
+            .field("queues", &self.queues)
+            .finish_non_exhaustive()
     }
 }
 
@@ -229,6 +288,24 @@ mod tests {
         for &(flow, expect) in VECTORS {
             let got = toeplitz_hash(&RssKey::MICROSOFT_DEFAULT, &flow.rss_input());
             assert_eq!(got, expect, "flow {flow:?}");
+        }
+    }
+
+    #[test]
+    fn table_driven_hash_matches_bit_serial_definition() {
+        let keys = [
+            RssKey::MICROSOFT_DEFAULT,
+            RssKey::SYMMETRIC,
+            RssKey::from_seed(1),
+            RssKey::from_seed(0x7e57),
+        ];
+        for key in keys {
+            let rss = Rss::new(key.clone(), 8);
+            let mut rng = SplitMix64::new(0x70e9);
+            for _ in 0..10_000 {
+                let f = FlowKey::from_rng(&mut rng);
+                assert_eq!(rss.hash(&f), toeplitz_hash(&key, &f.rss_input()), "{f:?}");
+            }
         }
     }
 

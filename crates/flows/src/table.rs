@@ -1,30 +1,28 @@
-//! Slab-backed per-flow state, sized for millions of concurrent flows.
+//! Dense per-flow state, sized for millions of concurrent flows.
 //!
 //! The engine tracks one compact record per live flow — 4-tuple,
-//! steered queue, packets remaining — in a preallocated slab with a
-//! free list, plus a dense array of live slot ids for O(1) uniform
-//! sampling ("which flow does the next packet belong to?") and O(1)
-//! swap-remove on completion. Nothing on the per-packet path
+//! packets remaining, steered queue — in one preallocated dense
+//! array of live records. A flow's id is its current index in that
+//! array: insert pushes, a uniform sample ("which flow does the next
+//! packet belong to?") is one random index, and completion is an O(1)
+//! `swap_remove` that moves the last record into the hole. Every
+//! operation touches one record, and nothing on the per-packet path
 //! allocates: at 10⁶–10⁷ flows a per-packet `HashMap` or `Box` would
 //! dominate the generator's cost and wreck run-to-run layout
 //! determinism.
 
 use crate::rss::FlowKey;
 use pcie_sim::SplitMix64;
-use pcie_telemetry::CounterGroup;
 
-/// One live flow: 24 bytes, so 10⁷ flows fit in ~240 MB and the
-/// 10⁶-flow benchmark configuration in ~24 MB.
+/// One live flow: 20 bytes, so 10⁷ flows fit in ~200 MB and the
+/// 1.25·10⁶-flow benchmark configuration in ~25 MB.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
+struct Flow {
     key: FlowKey,
     /// Packets left before the flow completes.
     remaining: u32,
     /// RX queue the flow's RSS hash steers to (fixed at insert).
     queue: u16,
-    /// Index of this slot's entry in the dense live list (kept in
-    /// sync so completion can swap-remove without searching).
-    dense: u32,
 }
 
 /// Lifetime statistics of one [`FlowTable`].
@@ -40,15 +38,16 @@ pub struct FlowTableStats {
     pub peak_active: u32,
 }
 
-/// A fixed-capacity slab of live flows with O(1) insert, uniform
-/// sample, and remove.
+/// A fixed-capacity dense table of live flows with O(1) insert,
+/// uniform sample, and remove.
+///
+/// Flow ids are dense indices: an id stays valid until the next
+/// completion, which moves the last flow into the completed flow's
+/// index.
 #[derive(Debug, Clone)]
 pub struct FlowTable {
-    slots: Vec<Slot>,
-    /// Slot indices currently free.
-    free: Vec<u32>,
-    /// Slot indices currently live (dense, order-irrelevant).
-    live: Vec<u32>,
+    live: Vec<Flow>,
+    capacity: usize,
     stats: FlowTableStats,
 }
 
@@ -57,34 +56,20 @@ impl FlowTable {
     /// memory is allocated here, none on the packet path.
     ///
     /// # Panics
-    /// Panics if `capacity` is zero or exceeds `u32::MAX` slots.
+    /// Panics if `capacity` is zero or exceeds `u32::MAX` flows.
     pub fn with_capacity(capacity: usize) -> FlowTable {
         assert!(capacity > 0, "need room for at least one flow");
-        assert!(capacity <= u32::MAX as usize, "slot ids are u32");
-        let dead = Slot {
-            key: FlowKey {
-                src_ip: 0,
-                dst_ip: 0,
-                src_port: 0,
-                dst_port: 0,
-            },
-            remaining: 0,
-            queue: 0,
-            dense: 0,
-        };
+        assert!(capacity <= u32::MAX as usize, "flow ids are u32");
         FlowTable {
-            slots: vec![dead; capacity],
-            // Pop order counts down from the back; any fixed order
-            // works, this one keeps early slots hot.
-            free: (0..capacity as u32).rev().collect(),
             live: Vec::with_capacity(capacity),
+            capacity,
             stats: FlowTableStats::default(),
         }
     }
 
     /// Maximum concurrent flows.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Currently live flows.
@@ -92,9 +77,9 @@ impl FlowTable {
         self.live.len() as u32
     }
 
-    /// Whether every slot is in use.
+    /// Whether the table holds `capacity` flows.
     pub fn is_full(&self) -> bool {
-        self.free.is_empty()
+        self.live.len() == self.capacity
     }
 
     /// Lifetime statistics.
@@ -103,24 +88,24 @@ impl FlowTable {
     }
 
     /// Inserts a flow with `packets` packets to live for, steered to
-    /// `queue`. Returns the slot id, or `None` if the table is full.
+    /// `queue`. Returns its id, or `None` if the table is full.
     ///
     /// # Panics
     /// Panics if `packets` is zero (a flow must carry traffic).
     pub fn insert(&mut self, key: FlowKey, queue: u16, packets: u32) -> Option<u32> {
         assert!(packets > 0, "zero-packet flow");
-        let slot = self.free.pop()?;
-        let dense = self.live.len() as u32;
-        self.live.push(slot);
-        self.slots[slot as usize] = Slot {
+        if self.is_full() {
+            return None;
+        }
+        let id = self.live.len() as u32;
+        self.live.push(Flow {
             key,
             remaining: packets,
             queue,
-            dense,
-        };
+        });
         self.stats.inserts += 1;
-        self.stats.peak_active = self.stats.peak_active.max(self.live.len() as u32);
-        Some(slot)
+        self.stats.peak_active = self.stats.peak_active.max(id + 1);
+        Some(id)
     }
 
     /// Samples a live flow uniformly (one RNG draw), or `None` if the
@@ -129,60 +114,44 @@ impl FlowTable {
         if self.live.is_empty() {
             return None;
         }
-        Some(self.live[rng.next_below(self.live.len() as u64) as usize])
+        Some(rng.next_below(self.live.len() as u64) as u32)
     }
 
-    /// The 4-tuple of a live slot.
-    pub fn key(&self, slot: u32) -> FlowKey {
-        self.slots[slot as usize].key
+    /// The 4-tuple of a live flow.
+    pub fn key(&self, id: u32) -> FlowKey {
+        self.live[id as usize].key
     }
 
-    /// The RX queue a live slot steers to.
-    pub fn queue(&self, slot: u32) -> u16 {
-        self.slots[slot as usize].queue
+    /// The RX queue a live flow steers to.
+    pub fn queue(&self, id: u32) -> u16 {
+        self.live[id as usize].queue
     }
 
-    /// Packets the slot's flow still has to send.
-    pub fn remaining(&self, slot: u32) -> u32 {
-        self.slots[slot as usize].remaining
+    /// Packets the flow still has to send.
+    pub fn remaining(&self, id: u32) -> u32 {
+        self.live[id as usize].remaining
     }
 
-    /// Attributes one packet to the flow in `slot`. Returns `true` if
-    /// that was the flow's last packet: the flow is removed and the
-    /// slot recycled (O(1) swap-remove from the live list).
-    pub fn note_packet(&mut self, slot: u32) -> bool {
+    /// Attributes one packet to the flow `id`. Returns `true` if that
+    /// was the flow's last packet: the flow is removed by an O(1)
+    /// `swap_remove`, so the last live flow takes over id `id`.
+    pub fn note_packet(&mut self, id: u32) -> bool {
         self.stats.packets += 1;
-        let s = &mut self.slots[slot as usize];
-        s.remaining -= 1;
-        if s.remaining > 0 {
+        let f = &mut self.live[id as usize];
+        f.remaining -= 1;
+        if f.remaining > 0 {
             return false;
         }
-        let dense = s.dense as usize;
-        self.live.swap_remove(dense);
-        if let Some(&moved) = self.live.get(dense) {
-            self.slots[moved as usize].dense = dense as u32;
-        }
-        self.free.push(slot);
+        self.live.swap_remove(id as usize);
         self.stats.completions += 1;
         true
-    }
-
-    /// The table's counters as the `flows.table` telemetry group.
-    pub fn telemetry_group(&self) -> CounterGroup {
-        let mut g = CounterGroup::new("flows.table");
-        g.push("capacity", self.capacity() as u64)
-            .push("active", u64::from(self.active()))
-            .push("peak_active", u64::from(self.stats.peak_active))
-            .push("inserts", self.stats.inserts)
-            .push("completions", self.stats.completions)
-            .push("packets", self.stats.packets);
-        g
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcie_sim::hash::Fnv1a;
 
     fn key(n: u32) -> FlowKey {
         FlowKey {
@@ -203,6 +172,10 @@ mod tests {
         assert_eq!(t.key(b), key(2));
         assert!(t.note_packet(a), "single-packet flow completes");
         assert_eq!(t.active(), 1);
+        // The completion swap-removed `a`: the surviving flow moved,
+        // so find it again by its key.
+        let b = (0..t.active()).find(|&id| t.key(id) == key(2)).unwrap();
+        assert_eq!((t.queue(b), t.remaining(b)), (5, 3));
         assert!(!t.note_packet(b));
         assert!(!t.note_packet(b));
         assert!(t.note_packet(b), "third packet finishes the flow");
@@ -213,14 +186,14 @@ mod tests {
     }
 
     #[test]
-    fn capacity_is_enforced_and_slots_recycle() {
+    fn capacity_is_enforced_and_room_recycles() {
         let mut t = FlowTable::with_capacity(2);
         let a = t.insert(key(1), 0, 1).unwrap();
         t.insert(key(2), 0, 1).unwrap();
         assert!(t.is_full());
         assert!(t.insert(key(3), 0, 1).is_none(), "full table rejects");
         t.note_packet(a);
-        assert!(t.insert(key(3), 0, 1).is_some(), "slot came back");
+        assert!(t.insert(key(3), 0, 1).is_some(), "room came back");
     }
 
     #[test]
@@ -239,7 +212,7 @@ mod tests {
 
     #[test]
     fn heavy_churn_preserves_accounting() {
-        // 100k flows through a 1k-slot table: dense-list bookkeeping
+        // 100k flows through a 1k-flow table: swap-remove bookkeeping
         // must survive arbitrary interleaving of removals.
         let cap = 1_000;
         let mut t = FlowTable::with_capacity(cap);
@@ -250,9 +223,14 @@ mod tests {
                 .unwrap();
             next += 1;
         }
+        // The live order decides which flow each pick lands on; folding
+        // the picked 4-tuples pins that order through the churn.
+        let mut picked = Fnv1a::default();
         for _ in 0..100_000 {
-            let slot = t.pick(&mut rng).unwrap();
-            if t.note_packet(slot) {
+            let id = t.pick(&mut rng).unwrap();
+            let k = t.key(id);
+            picked.eat([k.src_ip, k.dst_ip, k.src_port.into(), k.dst_port.into()].map(u64::from));
+            if t.note_packet(id) {
                 t.insert(key(next), (next % 8) as u16, 1 + next % 7)
                     .unwrap();
                 next += 1;
@@ -264,9 +242,7 @@ mod tests {
         assert_eq!(s.completions, u64::from(next) - u64::from(t.active()));
         assert_eq!(s.packets, 100_000);
         assert_eq!(s.peak_active, cap as u32);
-        // Live list and slabs agree.
-        let g = t.telemetry_group();
-        assert_eq!(g.get("active"), Some(u64::from(t.active())));
+        assert_eq!(picked.finish(), 0xc4c0_f1d3_a116_02b9, "pick order changed");
     }
 
     #[test]

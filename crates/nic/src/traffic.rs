@@ -33,6 +33,47 @@ pub enum Workload {
     },
 }
 
+/// The bounded-Pareto inverse CDF on `[min, max]` with tail exponent
+/// `alpha`, its per-distribution constants computed at construction.
+/// The one sampler behind [`Workload::Pareto`] and every other
+/// bounded-Pareto draw (flow lengths in `pcie-flows`), so they agree
+/// bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BoundedPareto {
+    min: u32,
+    max: u32,
+    /// `L`, the scale, as a float.
+    l: f64,
+    /// `1 - (L/H)^α`: the CDF mass the support covers.
+    span: f64,
+    /// `1/α`.
+    inv_alpha: f64,
+}
+
+impl BoundedPareto {
+    /// The sampler for `Workload::Pareto { min, max, alpha }` (same
+    /// parameter rules, see [`Workload::validate`]).
+    pub fn new(min: u32, max: u32, alpha: f64) -> BoundedPareto {
+        let (l, h) = (min as f64, max as f64);
+        BoundedPareto {
+            min,
+            max,
+            l,
+            span: 1.0 - (l / h).powf(alpha),
+            inv_alpha: 1.0 / alpha,
+        }
+    }
+
+    /// Draws one value: with U ~ [0,1),
+    /// x = L / (1 - U·(1 - (L/H)^α))^(1/α), truncated and clamped to
+    /// `[min, max]`. One RNG draw per sample, so streams stay stable.
+    pub fn sample(&self, rng: &mut SplitMix64) -> u32 {
+        let u = rng.next_f64();
+        let x = self.l / (1.0 - u * self.span).powf(self.inv_alpha);
+        (x as u32).clamp(self.min, self.max)
+    }
+}
+
 impl Workload {
     /// Draws the next packet size.
     pub fn next_size(&self, rng: &mut SplitMix64) -> u32 {
@@ -44,15 +85,23 @@ impl Workload {
                 _ => 1518,
             },
             Workload::Uniform { min, max } => rng.range(min as u64, max as u64 + 1) as u32,
-            Workload::Pareto { min, max, alpha } => {
-                // Inverse-CDF sampling of the bounded Pareto: with
-                // U ~ [0,1), x = L / (1 - U·(1 - (L/H)^α))^(1/α).
-                // One RNG draw per sample, so streams stay stable.
-                let (l, h) = (min as f64, max as f64);
-                let u = rng.next_f64();
-                let x = l / (1.0 - u * (1.0 - (l / h).powf(alpha))).powf(1.0 / alpha);
-                (x as u32).clamp(min, max)
-            }
+            Workload::Pareto { min, max, alpha } => BoundedPareto::new(min, max, alpha).sample(rng),
+        }
+    }
+
+    /// A draw function equal to [`Workload::next_size`] draw for draw,
+    /// with the distribution's constants computed once here rather
+    /// than on every draw: build it once per run, outside the
+    /// per-packet loop.
+    pub fn sampler(&self) -> impl Fn(&mut SplitMix64) -> u32 {
+        let w = *self;
+        let pareto = match w {
+            Workload::Pareto { min, max, alpha } => Some(BoundedPareto::new(min, max, alpha)),
+            _ => None,
+        };
+        move |rng| match pareto {
+            Some(p) => p.sample(rng),
+            None => w.next_size(rng),
         }
     }
 
@@ -156,6 +205,32 @@ mod tests {
             b.next_u64();
         }
         assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn pareto_sampler_matches_the_per_draw_formula() {
+        // The once-per-run constants must not move a single draw: the
+        // oracle is the inverse CDF with every constant recomputed per
+        // draw, in the same f64 operation order.
+        for (min, max, alpha) in [
+            (64, 1518, 1.2),
+            (1, 10_000, 1.2),
+            (1, 500, 0.7),
+            (40, 9000, 2.5),
+        ] {
+            let w = Workload::Pareto { min, max, alpha };
+            let sampler = w.sampler();
+            let (mut a, mut b, mut c) =
+                (SplitMix64::new(3), SplitMix64::new(3), SplitMix64::new(3));
+            for _ in 0..100_000 {
+                let (l, h) = (min as f64, max as f64);
+                let u = c.next_f64();
+                let x = l / (1.0 - u * (1.0 - (l / h).powf(alpha))).powf(1.0 / alpha);
+                let oracle = (x as u32).clamp(min, max);
+                assert_eq!(sampler(&mut a), oracle, "{w:?}");
+                assert_eq!(w.next_size(&mut b), oracle, "{w:?}");
+            }
+        }
     }
 
     #[test]

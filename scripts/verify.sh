@@ -23,6 +23,13 @@ cargo build --release --workspace
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# The flow engine's equivalence pins (table-driven Toeplitz against the
+# bit-serial definition, the once-per-run Pareto sampler against the
+# per-draw formula) again under the optimised codegen the benchmark
+# runs.
+echo "==> cargo test --release -q -p pcie-flows -p pcie-nic"
+cargo test --release -q -p pcie-flows -p pcie-nic
+
 echo "==> cargo doc --no-deps (warnings are errors, unconditionally)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 

@@ -50,6 +50,7 @@ fn toeplitz_matches_microsoft_verification_suite() {
             dst_port: dport,
         };
         assert_eq!(toeplitz_hash(&key, &k.rss_input()), l3l4);
+        assert_eq!(Rss::new(key.clone(), 8).hash(&k), l3l4);
         let mut addrs = [0u8; 8];
         addrs[..4].copy_from_slice(&src);
         addrs[4..].copy_from_slice(&dst);
