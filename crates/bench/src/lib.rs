@@ -49,13 +49,12 @@ pub fn n(base: usize) -> usize {
 /// not parse as a `u32`, or is 0, is an error naming the knob and the
 /// value.
 pub fn parse_knob_u32(name: &str, value: Option<&str>, default: u32) -> Result<u32, String> {
-    match value.map(str::parse::<u32>) {
-        None => Ok(default),
-        Some(Ok(v)) if v > 0 => Ok(v),
-        Some(_) => Err(format!(
-            "{name}={:?}: expected a positive integer",
-            value.unwrap_or_default()
-        )),
+    let Some(s) = value else {
+        return Ok(default);
+    };
+    match s.parse::<u32>() {
+        Ok(v) if v > 0 => Ok(v),
+        _ => Err(format!("{name}={s:?}: expected a positive integer")),
     }
 }
 

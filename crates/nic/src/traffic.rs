@@ -34,12 +34,11 @@ pub enum Workload {
 }
 
 /// The bounded-Pareto inverse CDF on `[min, max]` with tail exponent
-/// `alpha`, its per-distribution constants computed at construction.
-/// The one sampler behind [`Workload::Pareto`] and every other
-/// bounded-Pareto draw (flow lengths in `pcie-flows`), so they agree
-/// bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundedPareto {
+/// `alpha`, its per-distribution constants computed at construction:
+/// the one formula behind every [`Workload::Pareto`] draw, per call
+/// ([`Workload::next_size`]) or per run ([`Workload::sampler`]).
+#[derive(Debug, Clone, Copy)]
+struct BoundedPareto {
     min: u32,
     max: u32,
     /// `L`, the scale, as a float.
@@ -53,7 +52,7 @@ pub struct BoundedPareto {
 impl BoundedPareto {
     /// The sampler for `Workload::Pareto { min, max, alpha }` (same
     /// parameter rules, see [`Workload::validate`]).
-    pub fn new(min: u32, max: u32, alpha: f64) -> BoundedPareto {
+    fn new(min: u32, max: u32, alpha: f64) -> BoundedPareto {
         let (l, h) = (min as f64, max as f64);
         BoundedPareto {
             min,
@@ -67,7 +66,7 @@ impl BoundedPareto {
     /// Draws one value: with U ~ [0,1),
     /// x = L / (1 - U·(1 - (L/H)^α))^(1/α), truncated and clamped to
     /// `[min, max]`. One RNG draw per sample, so streams stay stable.
-    pub fn sample(&self, rng: &mut SplitMix64) -> u32 {
+    fn sample(&self, rng: &mut SplitMix64) -> u32 {
         let u = rng.next_f64();
         let x = self.l / (1.0 - u * self.span).powf(self.inv_alpha);
         (x as u32).clamp(self.min, self.max)
