@@ -26,9 +26,11 @@
 //! (default 1,250,000; quick 50,000); `PCIE_BENCH_QUEUES` overrides
 //! the RSS queue count (default 8; quick 4); `PCIE_BENCH_N` scales
 //! packet counts; `PCIE_BENCH_THREADS` sizes the worker pool. A flow
-//! or queue count that is not a positive integer exits with status 2.
+//! or queue count that is not a positive integer, a queue count above
+//! 256, or a `PCIE_BENCH_N` that is not a positive number exits with
+//! status 2.
 
-use pcie_bench_harness::{env_u32, header, n};
+use pcie_bench_harness::{check_knob, env_u32, header, n};
 use pcie_flows::{
     ArrivalProcess, FlowEngine, FlowEngineConfig, FlowLength, FlowRunReport, ServiceModel,
     TrafficProfile,
@@ -55,12 +57,16 @@ fn service() -> ServiceModel {
     }
 }
 
-fn engine(flows: u32, queues: u32, pps: f64, packets: u64) -> FlowEngine {
-    let cfg = FlowEngineConfig {
+fn config(queues: u32) -> FlowEngineConfig {
+    FlowEngineConfig {
         queues,
         service: service(),
         ..FlowEngineConfig::default()
-    };
+    }
+}
+
+fn engine(flows: u32, queues: u32, pps: f64, packets: u64) -> FlowEngine {
+    let cfg = config(queues);
     let profile = TrafficProfile {
         flows,
         packets,
@@ -82,6 +88,7 @@ fn run(e: &FlowEngine, pool: &Pool) -> FlowRunReport {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let queues = env_u32("PCIE_BENCH_QUEUES", if quick { 4 } else { 8 });
+    check_knob("PCIE_BENCH_QUEUES", config(queues).validate());
     let flows = env_u32("PCIE_BENCH_FLOWS", if quick { 50_000 } else { 1_250_000 });
     let packets = n(if quick { 24_000 } else { 200_000 }) as u64;
     let sweep = if quick { SWEEP_QUICK } else { SWEEP };

@@ -32,10 +32,11 @@
 //! Env: `PCIE_BENCH_RPC_PATH` selects the datapath when `--path` is
 //! absent; `PCIE_BENCH_QUEUES` overrides the RSS queue count (default
 //! 4); `PCIE_BENCH_N` scales RPC counts; `PCIE_BENCH_THREADS` sizes
-//! the worker pool. A queue count that is not a positive integer exits
+//! the worker pool. A queue count that is not a positive integer or is
+//! above 256, or a `PCIE_BENCH_N` that is not a positive number, exits
 //! with status 2.
 
-use pcie_bench_harness::{env_u32, header, n};
+use pcie_bench_harness::{check_knob, env_u32, header, n};
 use pcie_par::Pool;
 use pcie_rpc::{Datapath, RpcEngine, RpcEngineConfig, RpcProfile, RpcRunReport};
 use pcie_telemetry::{RpcStage, StageSet};
@@ -66,11 +67,17 @@ fn selected_paths() -> Vec<Datapath> {
     }
 }
 
+fn config(queues: u32) -> RpcEngineConfig {
+    RpcEngineConfig {
+        queues,
+        ..RpcEngineConfig::default()
+    }
+}
+
 fn engine(queues: u32, datapath: Datapath, rps: f64, rpcs: u64) -> RpcEngine {
     let cfg = RpcEngineConfig {
-        queues,
         datapath,
-        ..RpcEngineConfig::default()
+        ..config(queues)
     };
     RpcEngine::new(cfg, RpcProfile::standard(rps, rpcs))
 }
@@ -78,15 +85,12 @@ fn engine(queues: u32, datapath: Datapath, rps: f64, rpcs: u64) -> RpcEngine {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let queues = env_u32("PCIE_BENCH_QUEUES", 4);
+    check_knob("PCIE_BENCH_QUEUES", config(queues).validate());
     let rpcs = n(if quick { 24_000 } else { 200_000 }) as u64;
     let sweep = if quick { SWEEP_QUICK } else { SWEEP };
     let paths = selected_paths();
     let pool = Pool::from_env();
-    let capacity_rps = RpcEngineConfig {
-        queues,
-        ..RpcEngineConfig::default()
-    }
-    .capacity_rps();
+    let capacity_rps = config(queues).capacity_rps();
 
     header(&format!(
         "Extension — RPC serving over the switch fabric: {} across {queues} \

@@ -32,11 +32,11 @@ use pciebench::{BenchParams, BenchSetup, Snapshot};
 
 /// Transaction-count scale factor from the `PCIE_BENCH_N` environment
 /// variable (default 1.0). Figures use `(base as f64 * scale) as usize`.
+/// A value that is not a finite number above 0 prints an error and
+/// exits with status 2 (see [`parse_knob_f64`]).
 pub fn scale() -> f64 {
-    std::env::var("PCIE_BENCH_N")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0)
+    let name = "PCIE_BENCH_N";
+    parse_knob_f64(name, env_knob(name).as_deref(), 1.0).unwrap_or_else(|e| exit_bad_knob(&e))
 }
 
 /// Scaled transaction count.
@@ -58,15 +58,48 @@ pub fn parse_knob_u32(name: &str, value: Option<&str>, default: u32) -> Result<u
     }
 }
 
+/// Parses the positive real knob `name`, whose environment value is
+/// `value` (`None` if unset): unset gives `default`; a value that does
+/// not parse as a finite `f64` above 0 is an error naming the knob and
+/// the value.
+pub fn parse_knob_f64(name: &str, value: Option<&str>, default: f64) -> Result<f64, String> {
+    let Some(s) = value else {
+        return Ok(default);
+    };
+    match s.parse::<f64>() {
+        Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
+        _ => Err(format!("{name}={s:?}: expected a positive number")),
+    }
+}
+
+/// The environment value of knob `name`, if set.
+fn env_knob(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+}
+
+fn exit_bad_knob(e: &str) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2)
+}
+
 /// The positive integer knob `name` from the environment, or `default`
 /// when unset. A bad value (see [`parse_knob_u32`]) prints an error and
 /// exits with status 2.
 pub fn env_u32(name: &str, default: u32) -> u32 {
-    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    parse_knob_u32(name, value.as_deref(), default).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2)
-    })
+    parse_knob_u32(name, env_knob(name).as_deref(), default).unwrap_or_else(|e| exit_bad_knob(&e))
+}
+
+/// Checks a config built from knob `name`: on `Err(e)` (the config's
+/// own `validate` message) prints `error: NAME="value": e` and exits
+/// with status 2, so a value the knob parser accepts but the config
+/// rejects is still a clean error, not a panic.
+pub fn check_knob(name: &str, check: Result<(), String>) {
+    if let Err(e) = check {
+        match env_knob(name) {
+            Some(value) => exit_bad_knob(&format!("{name}={value:?}: {e}")),
+            None => exit_bad_knob(&e),
+        }
+    }
 }
 
 /// The standard transfer-size grid of Figure 4 (64 B – 2048 B with ±1 B
@@ -182,6 +215,19 @@ mod tests {
         for bad in ["abc", "0", "", "-3", "4.5", "99999999999"] {
             let e = parse_knob_u32("PCIE_BENCH_FLOWS", Some(bad), 7).unwrap_err();
             assert!(e.contains("PCIE_BENCH_FLOWS"), "{e}");
+            assert!(e.contains(&format!("{bad:?}")), "{e}");
+        }
+    }
+
+    #[test]
+    fn knob_f64_parse_accepts_positive_and_rejects_the_rest() {
+        assert_eq!(parse_knob_f64("K", None, 1.0), Ok(1.0));
+        assert_eq!(parse_knob_f64("K", Some("0.25"), 1.0), Ok(0.25));
+        assert_eq!(parse_knob_f64("K", Some("3"), 1.0), Ok(3.0));
+        assert_eq!(parse_knob_f64("K", Some("1e-3"), 1.0), Ok(1e-3));
+        for bad in ["abc", "0", "-0", "", "-3", "inf", "NaN", "1e999", "2x"] {
+            let e = parse_knob_f64("PCIE_BENCH_N", Some(bad), 1.0).unwrap_err();
+            assert!(e.contains("PCIE_BENCH_N"), "{e}");
             assert!(e.contains(&format!("{bad:?}")), "{e}");
         }
     }

@@ -289,9 +289,9 @@ mod tests {
     fn iommu_modes_attach() {
         let setup = BenchSetup::nfp6000_bdw().with_iommu(IommuMode::FourK);
         let (platform, _) = setup.build(&BenchParams::baseline(64));
-        assert_eq!(platform.host.iommu().unwrap().page_size, 4096);
+        assert_eq!(platform.host.iommu().unwrap().page_size(), 4096);
         let setup = setup.with_iommu(IommuMode::SuperPages);
         let (platform, _) = setup.build(&BenchParams::baseline(64));
-        assert_eq!(platform.host.iommu().unwrap().page_size, 2 << 20);
+        assert_eq!(platform.host.iommu().unwrap().page_size(), 2 << 20);
     }
 }

@@ -281,11 +281,42 @@ impl DeviceErrorCounters {
 /// streams.
 const FAULT_STREAM_SALT: u64 = 0x000F_A017_5EED_0BAD;
 
+/// Entries in each direction's corruption-probability memo (1 KiB).
+const MEMO_SLOTS: usize = 64;
+
 struct DirInjector {
     rng: SplitMix64,
     /// 1-based ordinal of the next TLP on this direction.
     ordinal: u64,
     counters: FaultCounters,
+    /// Direct-mapped memo of `(wire_bits, tlp_error_probability)`: a
+    /// run sends only a handful of distinct wire lengths, so most TLPs
+    /// skip the `powf`. Each entry is the value the definition returns
+    /// for its key, so a hit is the same `f64` a fresh call gives.
+    memo: [(u64, f64); MEMO_SLOTS],
+}
+
+impl DirInjector {
+    fn new(rng: SplitMix64, faults: &DirFaults) -> Self {
+        DirInjector {
+            rng,
+            ordinal: 0,
+            counters: FaultCounters::default(),
+            memo: [(0, faults.tlp_error_probability(0)); MEMO_SLOTS],
+        }
+    }
+
+    /// [`DirFaults::tlp_error_probability`] of `faults` (this
+    /// direction's plan) through the memo.
+    fn error_probability(&mut self, faults: &DirFaults, wire_bits: u64) -> f64 {
+        // Fibonacci hashing: the top 6 bits of the product.
+        let slot = (wire_bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize;
+        let entry = &mut self.memo[slot];
+        if entry.0 != wire_bits {
+            *entry = (wire_bits, faults.tlp_error_probability(wire_bits));
+        }
+        entry.1
+    }
 }
 
 /// Per-link fault-injection runtime: the plan plus one independent,
@@ -310,16 +341,8 @@ impl Injector {
         plan.validate().expect("invalid fault plan");
         let mut root = SplitMix64::salted(seed, FAULT_STREAM_SALT);
         let dirs = [
-            DirInjector {
-                rng: root.fork(),
-                ordinal: 0,
-                counters: FaultCounters::default(),
-            },
-            DirInjector {
-                rng: root.fork(),
-                ordinal: 0,
-                counters: FaultCounters::default(),
-            },
+            DirInjector::new(root.fork(), &plan.upstream),
+            DirInjector::new(root.fork(), &plan.downstream),
         ];
         Injector { plan, seed, dirs }
     }
@@ -348,7 +371,7 @@ impl Injector {
             out.poisoned = true;
         }
         if df.ber > 0.0 {
-            let p = df.tlp_error_probability(wire_bits);
+            let p = d.error_probability(&df, wire_bits);
             if d.rng.chance(p) {
                 out.lcrc_failures = (1 + df.burst).min(max_replays);
                 if df.timeout_fraction > 0.0 && d.rng.chance(df.timeout_fraction) {
@@ -489,6 +512,106 @@ mod tests {
             .map(|_| inj.decide(Direction::Upstream, 2240))
             .collect();
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn memoised_decide_matches_per_call_pow() {
+        // `decide` as it was before the memo: a fresh `powf` per TLP,
+        // the same RNG draws in the same order.
+        struct PerCall {
+            plan: FaultPlan,
+            rngs: [SplitMix64; 2],
+            ordinals: [u64; 2],
+        }
+        impl PerCall {
+            fn decide(&mut self, dir: Direction, wire_bits: u64) -> Decision {
+                let df = *self.plan.dir(dir);
+                let (rng, ordinal) = (&mut self.rngs[di(dir)], &mut self.ordinals[di(dir)]);
+                *ordinal += 1;
+                let mut out = Decision::CLEAN;
+                out.dropped = df.drop_nth == Some(*ordinal);
+                out.poisoned = df.poison_nth == Some(*ordinal);
+                if df.poison_rate > 0.0 && rng.chance(df.poison_rate) {
+                    out.poisoned = true;
+                }
+                if df.ber > 0.0 {
+                    let p = 1.0 - (1.0 - df.ber).powf(wire_bits as f64);
+                    if rng.chance(p) {
+                        out.lcrc_failures = (1 + df.burst).min(self.plan.max_replays);
+                        if df.timeout_fraction > 0.0 && rng.chance(df.timeout_fraction) {
+                            out.timeout_detected = true;
+                        }
+                    }
+                }
+                out
+            }
+        }
+
+        // Asymmetric: different rates, bursts and timeout shares per
+        // direction, plus targeted faults that must keep their ordinal.
+        let plan = FaultPlan {
+            upstream: DirFaults {
+                ber: 2e-5,
+                burst: 2,
+                timeout_fraction: 0.3,
+                poison_rate: 1e-3,
+                drop_nth: Some(17),
+                poison_nth: None,
+            },
+            downstream: DirFaults {
+                ber: 7e-6,
+                burst: 0,
+                timeout_fraction: 0.0,
+                poison_rate: 0.0,
+                drop_nth: None,
+                poison_nth: Some(40),
+            },
+            max_replays: 2,
+            ..FaultPlan::none()
+        };
+        for seed in [1u64, 7919] {
+            let mut memo = Injector::new(plan, seed);
+            let mut root = SplitMix64::salted(seed, FAULT_STREAM_SALT);
+            let mut reference = PerCall {
+                plan,
+                rngs: [root.fork(), root.fork()],
+                ordinals: [0; 2],
+            };
+            // 300 distinct lengths (whole bytes and odd bit counts)
+            // over 64 memo slots: every slot sees several keys, so hits,
+            // misses and overwrites interleave.
+            let lengths: Vec<u64> = (0..300u64)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        8 * (12 + i)
+                    } else {
+                        96 + 37 * i
+                    }
+                })
+                .collect();
+            let mut stream = SplitMix64::new(seed ^ 0xfa17);
+            let mut corrupted = 0;
+            for _ in 0..50_000 {
+                let dir = if stream.chance(0.5) {
+                    Direction::Upstream
+                } else {
+                    Direction::Downstream
+                };
+                // Mostly a few hot lengths, as in a real run, with a
+                // tail of colliding ones.
+                let bits = if stream.chance(0.8) {
+                    lengths[stream.next_below(4) as usize]
+                } else {
+                    lengths[stream.next_below(lengths.len() as u64) as usize]
+                };
+                let d = memo.decide(dir, bits);
+                assert_eq!(d, reference.decide(dir, bits), "{dir:?} {bits} bits");
+                corrupted += u64::from(d.lcrc_failures > 0);
+            }
+            assert!(corrupted > 100, "the stream must exercise corruption");
+            assert_eq!(memo.dirs[0].rng.next_u64(), reference.rngs[0].next_u64());
+            assert_eq!(memo.dirs[1].rng.next_u64(), reference.rngs[1].next_u64());
+        }
     }
 
     #[test]

@@ -176,10 +176,17 @@ impl LlcCache {
             lines >= ways && lines.is_multiple_of(ways),
             "cache size must be a multiple of ways*64B"
         );
-        let (mut keys, mut lru, mut digests) = pool.bufs.pop().unwrap_or_default();
-        keys.resize(lines, 0);
-        lru.resize(lines, 0);
-        digests.resize(lines, 0);
+        let (keys, lru, digests) = match pool.bufs.pop() {
+            Some((mut keys, mut lru, mut digests)) => {
+                keys.resize(lines, 0);
+                lru.resize(lines, 0);
+                digests.resize(lines, 0);
+                (keys, lru, digests)
+            }
+            // `vec![0; n]` asks the allocator for zeroed memory, so
+            // fresh pages stay untouched until a probe reaches them.
+            None => (vec![0; lines], vec![0; lines], vec![0; lines]),
+        };
         let stamp = pool.stamp;
         let n_sets = lines / ways;
         let set_shift = (n_sets as u64).trailing_zeros();

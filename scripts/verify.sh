@@ -23,12 +23,14 @@ cargo build --release --workspace
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-# The flow engine's equivalence pins (table-driven Toeplitz against the
-# bit-serial definition, the once-per-run Pareto sampler against the
-# per-draw formula) again under the optimised codegen the benchmark
-# runs.
-echo "==> cargo test --release -q -p pcie-flows -p pcie-nic"
-cargo test --release -q -p pcie-flows -p pcie-nic
+# The fast paths' equivalence pins again under the optimised codegen
+# the benchmark runs: table-driven Toeplitz against the bit-serial
+# definition and the once-per-run Pareto sampler against the per-draw
+# formula (pcie-flows, pcie-nic), the memoised BER corruption
+# probability against a per-call `powf` (pcie-fault), and the O(1)
+# IO-TLB against the linear-scan LRU (pcie-host).
+echo "==> cargo test --release -q -p pcie-flows -p pcie-nic -p pcie-fault -p pcie-host"
+cargo test --release -q -p pcie-flows -p pcie-nic -p pcie-fault -p pcie-host
 
 echo "==> cargo doc --no-deps (warnings are errors, unconditionally)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
